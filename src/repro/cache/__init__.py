@@ -20,10 +20,9 @@ provides that simulator:
 * :class:`~repro.cache.hierarchy.CacheHierarchy` — multi-level
   composition with write-around / write-allocate policies;
 * :mod:`~repro.cache.partition` / :class:`~repro.cache.engine.HierarchyEngine`
-  — the O(n + num_sets) counting-sort partition and the batched
-  single-pass engine behind ``CacheHierarchy.run`` (bit-identical
-  statistics, one partition per batch instead of one sort per chunk
-  per level);
+  — the stable set partition and the batched engine behind
+  ``CacheHierarchy.run`` (bit-identical statistics, one partition per
+  window per level instead of one per chunk);
 * :class:`~repro.cache.classify.MissClassifier` — shadow
   fully-associative simulation splitting misses into cold / conflict /
   capacity (the paper's Section 2-3 story, made measurable);
@@ -37,7 +36,7 @@ from repro.cache.classify import MISS_CLASSES, MissClassifier
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.engine import BATCH_TARGET, HierarchyEngine
 from repro.cache.factory import build_simulator
-from repro.cache.partition import counting_available, default_strategy, partition
+from repro.cache.partition import default_strategy, partition
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.two_way import TwoWayCache
 from repro.cache.tlb import ULTRASPARC2_DTLB, build_tlb, tlb_params
@@ -66,7 +65,6 @@ __all__ = [
     "HierarchyStats",
     "WritePolicy",
     "build_simulator",
-    "counting_available",
     "default_strategy",
     "partition",
     "ULTRASPARC2_L1",

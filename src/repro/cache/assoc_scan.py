@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.cache.base import CacheStats
 from repro.cache.params import CacheParams
-from repro.cache.partition import counting_available, partition
+from repro.cache.partition import partition
 
 __all__ = ["AssocScanCache"]
 
@@ -130,9 +130,7 @@ class AssocScanCache:
         self.params = params
         self._line_shift = int(params.line_bytes).bit_length() - 1
         self._set_mask = params.num_sets - 1
-        if counting_available() and params.num_sets <= (1 << 31):
-            self._set_dtype = np.int32
-        elif params.num_sets <= (1 << 15):
+        if params.num_sets <= (1 << 15):
             self._set_dtype = np.int16
         else:
             self._set_dtype = np.int32

@@ -3,13 +3,12 @@
 This is the fast path behind every miss-rate experiment in the paper
 (both its caches are direct-mapped). The simulator never loops over
 individual accesses in Python; each chunk is processed with
-O(n + num_sets) numpy/scipy work:
+a few numpy passes:
 
 1. map byte addresses to line ids (shift) and set indices (mask);
 2. stably partition accesses by set index
-   (:func:`repro.cache.partition.partition` — counting sort, or the
-   original stable argsort as fallback; identical permutation either
-   way) — within a set's segment the accesses remain in program order;
+   (:func:`repro.cache.partition.partition`, a stable argsort) — within
+   a set's segment the accesses remain in program order;
 3. a non-first access in a segment misses iff its line differs from the
    immediately preceding access to the same set; the first access of each
    segment compares against the carried per-set resident tag;
@@ -28,7 +27,7 @@ import numpy as np
 
 from repro.cache.base import CacheStats
 from repro.cache.params import CacheParams
-from repro.cache.partition import counting_available, partition
+from repro.cache.partition import partition
 from repro.errors import CacheGeometryError
 
 __all__ = ["DirectMappedCache"]
@@ -50,16 +49,10 @@ class DirectMappedCache:
         self.params = params
         self._line_shift = int(params.line_bytes).bit_length() - 1
         self._set_mask = np.int64(params.num_sets - 1)
-        # Set-index dtype: the counting partition wants int32 directly
-        # (its scatter kernel is compiled for 32-bit indices); the
-        # argsort fallback is ~5x faster on the narrowest dtype that
-        # holds a set index (numpy's radix path) — int16 covers up to
-        # 32768 sets, which includes both of the paper's caches. Either
-        # way :func:`repro.cache.partition.partition` re-narrows as it
-        # needs, this just avoids a conversion on the hot path.
-        if counting_available() and params.num_sets <= (1 << 31):
-            self._set_dtype = np.int32
-        elif params.num_sets <= (1 << 15):
+        # Set-index dtype: the narrowest that holds a set index (int16
+        # covers up to 32768 sets, both of the paper's caches), so the
+        # keys cost the least memory traffic through the partition.
+        if params.num_sets <= (1 << 15):
             self._set_dtype = np.int16
         elif params.num_sets <= (1 << 31):
             self._set_dtype = np.int32

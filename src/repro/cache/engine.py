@@ -1,4 +1,4 @@
-"""Batched single-pass hierarchy engine.
+"""Batched hierarchy engine.
 
 :meth:`CacheHierarchy.run <repro.cache.hierarchy.CacheHierarchy.run>`
 drives this engine whenever no miss classifiers are attached (3C
@@ -14,10 +14,11 @@ without changing a single miss.
 windows of about :data:`BATCH_TARGET` addresses. Chunks smaller than a
 window (tiled schedules emit dozens of tiny per-tile chunks) are
 buffered and concatenated so the fixed per-call numpy cost is paid
-once per window; chunks larger than a window are *split*, because the
-counting partition's scatter is 4-6x faster when its working set stays
-cache-resident — a whole-trace sort would stream multi-MB temporaries
-through memory for no algorithmic gain.
+once per window; chunks larger than a window are *split*, so the
+partition and segment scans keep a cache-resident working set. A level
+with many sets (the paper's 32768-set L2) takes windows of twice its
+set count, because the partition boundaries and the occupied-set scan
+cost O(sets) per window.
 
 **Per-level demand buffering.** A level's demand stream (the misses it
 forwards) is buffered the same way, so L2 is also simulated in
@@ -25,22 +26,14 @@ full-size windows instead of one small call per L1 window. Levels are
 decoupled by their carried state: only the order of each level's own
 input matters, and buffering preserves it.
 
-**One partition serving two levels.** When the hierarchy is exactly
-two direct-mapped levels with equal line size and ``S1 <= S2`` sets,
-L1's set index is the low bits of L2's: ``set1 = set2 & (S1 - 1)``.
-The engine then partitions each window once by L1 set, simulates L1,
-and extracts L2's demand *in sorted space* (``l_sorted[miss]``) —
-grouped by ``set1``, program-ordered within each group. Because every
-L2 set's accesses fall inside a single ``set1`` group, a stable
-partition of that demand by ``set2`` still yields per-L2-set program
-order, so L2 is simulated exactly without ever rebuilding the demand
-stream's global program order. (Concatenating such per-window demand
-segments preserves the property: within a window per-set2 order is
-program order, and windows arrive in program order.) For any other
-geometry (the paper's 32B-L1/64B-L2 default included) the engine falls
-back to one partition per level, which is still strictly cheaper than
-the legacy path thanks to windowing and the counting partition
-(:mod:`repro.cache.partition`).
+**One path.** Each window is partitioned by its level's set index
+(:func:`repro.cache.partition.partition`), simulated through the
+level's ``access_grouped`` kernel, and its misses, put back in program
+order, are the next level's input. Affine run chunks
+(:class:`~repro.trace.runs.RunChunk`) are materialized first. A shared
+single-sort mode (equal L1/L2 line sizes only) and a closed-form run
+path (L1 simulated from per-line run intervals) were removed because
+neither paid on the paper's geometry; EXPERIMENTS.md has the numbers.
 
 The engine is created per ``run()`` and owns no cache state — tags and
 statistics live in the level simulators exactly as before, so carried
@@ -54,16 +47,15 @@ import numpy as np
 
 from repro.cache.assoc_scan import AssocScanCache
 from repro.cache.direct_mapped import DirectMappedCache
-from repro.cache.partition import partition, run_line_intervals
+from repro.cache.partition import partition
 from repro.obs import metrics
 from repro.trace.runs import materialize_runs
 
-__all__ = ["HierarchyEngine", "BATCH_TARGET", "shared_partition_applies",
-           "run_path_applies"]
+__all__ = ["HierarchyEngine", "BATCH_TARGET"]
 
 #: Target addresses per simulated window (128 KB of int64): large
 #: enough to amortize numpy call overhead, small enough that the
-#: partition scatter and segment scans stay cache-resident.
+#: partition and segment scans stay cache-resident.
 BATCH_TARGET = 1 << 14
 
 #: Window size for associative-scan levels: the LRU scan replays each
@@ -71,115 +63,6 @@ BATCH_TARGET = 1 << 14
 #: fixed cost (up to ``num_sets * assoc`` ghosts) wants more
 #: amortization than the direct-mapped scatter does.
 ASSOC_BATCH_TARGET = 1 << 16
-
-#: Minimum predicted compression (accesses per line interval) for the
-#: closed-form run path to be attempted. One interval costs roughly
-#: this many times what one materialized access costs (the interval
-#: pipeline pays a decomposition, a position sort, and demand
-#: reconstruction the flat path never does), so below the threshold
-#: materializing is simply faster — and bit-for-bit identical. Unit
-#: element strides under 32-byte lines compress 4:1 (below threshold);
-#: 64-byte-and-wider lines or coarser-than-element strides clear it.
-RUN_PROFIT_RATIO = 6
-
-
-def shared_partition_applies(levels, params) -> bool:
-    """Whether one L1 partition can serve both levels (see module doc).
-
-    Exactly two direct-mapped levels with equal line size and
-    ``S1 <= S2`` sets: L1's set index is then the low bits of L2's, so
-    a stable partition of L2's demand by ``set2`` can be extracted in
-    L1's sorted space. Shared between the engine and
-    :meth:`CacheHierarchy.engine_support
-    <repro.cache.hierarchy.CacheHierarchy.engine_support>` so the
-    reported mode always matches what the engine will do.
-    """
-    levels = list(levels)
-    params = list(params)
-    return (len(levels) == 2
-            and isinstance(levels[0], DirectMappedCache)
-            and isinstance(levels[1], DirectMappedCache)
-            and params[0].line_bytes == params[1].line_bytes
-            and params[0].num_sets <= params[1].num_sets)
-
-
-def run_path_applies(level, params) -> bool:
-    """Whether a level can consume affine runs without expanding them.
-
-    Both eligible simulators expose the partitioned
-    ``access_grouped(l_sorted, bp)`` contract the run path drives with
-    a closed-form interval stream; anything else (the 2-way
-    specialization, scalar references) gets materialized input instead.
-    Shared between the engine and :meth:`CacheHierarchy.engine_support
-    <repro.cache.hierarchy.CacheHierarchy.engine_support>`.
-    """
-    return isinstance(level, (DirectMappedCache, AssocScanCache))
-
-
-def _runs_interleave(bases: np.ndarray, strides: np.ndarray,
-                     counts: np.ndarray, shift: int, nsets: int) -> bool:
-    """Whether any two runs' line intervals can overlap inside a set.
-
-    This is the closed-form path's *exactness certificate*: a ``False``
-    verdict proves no two different-line intervals of any set overlap
-    in time, so each set's access subsequence is exactly its interval
-    heads in start order and the window may be simulated from the
-    decomposition alone, with no per-interval runtime guard.
-
-    The proof obligation reduces as follows. Conflicts are always
-    *intra*-segment — segments partition the stream, and an interval's
-    position range lies inside its segment's position range — so pairs
-    of runs from one segment are the only candidates. Within a segment
-    all runs share one stride ``s``, so references ``a`` and ``b``
-    advance in lockstep: interval ``j`` of a run occupies positions
-    from ``ceil((j*W - phi)/s)`` iterations in (``W`` = line bytes,
-    ``phi`` = the base's sub-line phase), and since ``ceil`` is
-    monotone, intervals of ``a`` and ``b`` can only overlap when their
-    relative progress ``delta = j_b - j_a`` satisfies ``delta*W <
-    W + phi_b - phi_a`` and ``-delta*W < W + phi_a - phi_b`` — i.e.
-    ``delta`` in {-1, 0, +1}, with ``delta = +1`` further requiring
-    ``phi_b > phi_a`` and ``delta = -1`` requiring ``phi_a > phi_b``
-    (both made non-strict below, absorbing integer-rounding boundary
-    ties into the safe direction). Same-set-different-line pairs also
-    need ``delta ≡ lo_a - lo_b (mod nsets)`` with distinct lines, and
-    ``delta`` must be realizable within both spans. Single-iteration
-    runs are single-position intervals and cannot overlap anything.
-    Run-edge intervals (clamped starts, truncated ends) occupy subsets
-    of their ideal ranges, so the test remains sound for them.
-
-    Cost: O(segments * refs^2) vectorized residue arithmetic — noise
-    next to the window's decomposition. Conflicted geometry is usually
-    visible in any one segment (the pairwise byte offsets between
-    references are fixed across a stream), so a three-segment sample
-    runs first and short-circuits the common conflicted case before
-    the full certificate is attempted.
-    """
-    nseg = bases.shape[0]
-    sample = np.unique([0, nseg // 2, nseg - 1])
-    for sel in (sample, None):
-        g = sel if sel is not None else np.arange(nseg)
-        g = g[counts[g] > 1]
-        if g.size == 0:
-            continue
-        b = bases[g]
-        lo = b >> shift
-        span = ((b + (counts[g, None] - 1) * strides[g, None]) >> shift
-                ) - lo + 1
-        phi = b - (lo << shift)
-        D = lo[:, :, None] - lo[:, None, :]
-        r = D % nsets
-        sa, sb = span[:, :, None], span[:, None, :]
-        pa, pb = phi[:, :, None], phi[:, None, :]
-        c0 = (r == 0) & (D != 0)
-        c1 = ((r == 1) & (D != 1) & (pa <= pb)
-              & (np.minimum(sa, sb - 1) > 0))
-        cm = ((r == nsets - 1) & (D != -1) & (pa >= pb)
-              & (np.minimum(sa - 1, sb) > 0))
-        if bool(np.any(c0 | c1 | cm)):
-            return True
-        if sel is None:
-            return False
-    return False
 
 
 class HierarchyEngine:
@@ -191,30 +74,22 @@ class HierarchyEngine:
         The hierarchy's live level simulators (state + stats holders).
     params:
         Matching :class:`~repro.cache.params.CacheParams` per level.
-    strategy:
-        Partition strategy override forwarded to
-        :func:`repro.cache.partition.partition` (tests force
-        ``"argsort"`` to diff the two paths); ``None`` = automatic.
     """
 
-    def __init__(self, levels, params, strategy: str | None = None):
+    def __init__(self, levels, params):
         self._levels = list(levels)
-        self._params = list(params)
-        self._strategy = strategy
         self._shifts = [int(p.line_bytes).bit_length() - 1 for p in params]
         self._nsets = [p.num_sets for p in params]
         self._nlev = len(self._levels)
         self._bufs: list[list[np.ndarray]] = [[] for _ in levels]
         self._pending = [0] * self._nlev
-        self._wins = [ASSOC_BATCH_TARGET
-                      if isinstance(lvl, AssocScanCache) else BATCH_TARGET
-                      for lvl in self._levels]
-        self._shared = shared_partition_applies(self._levels, self._params)
-
-    @property
-    def mode(self) -> str:
-        """``"shared"`` (one partition feeds both levels) or ``"per_level"``."""
-        return "shared" if self._shared else "per_level"
+        # A window costs O(num_sets) on top of its length (partition
+        # boundaries, occupied-set scans), so many-set levels such as
+        # the paper's 32768-set L2 take proportionally longer windows.
+        self._wins = [max(ASSOC_BATCH_TARGET
+                          if isinstance(lvl, AssocScanCache)
+                          else BATCH_TARGET, 2 * p.num_sets)
+                      for lvl, p in zip(self._levels, params)]
 
     # ------------------------------------------------------------------
     def feed(self, byte_addrs: np.ndarray) -> None:
@@ -223,152 +98,13 @@ class HierarchyEngine:
 
     def feed_runs(self, bases: np.ndarray, strides: np.ndarray,
                   counts: np.ndarray) -> None:
-        """Consume one chunk of cacheable affine runs (program order).
+        """Materialize one chunk of cacheable affine runs, then feed it.
 
         ``bases`` is ``(n_segments, n_refs)`` — already write-filtered
         by the caller — with per-segment ``strides``/``counts`` (see
-        :class:`~repro.trace.runs.RunChunk`). Eligible windows are
-        simulated at L1 straight from the closed-form interval
-        decomposition; anything the closed form cannot prove exact
-        (per-set interleaving, out-of-range strides, a non-partitioned
-        L1 simulator) is materialized and driven through the ordinary
-        flat path — statistics are bit-for-bit identical either way.
+        :class:`~repro.trace.runs.RunChunk`).
         """
-        nseg, nrefs = bases.shape
-        if nseg == 0 or nrefs == 0:
-            return
-        total = int(counts.sum()) * nrefs
-        if total == 0:
-            return
-        lvl = self._levels[0]
-        line_bytes = self._params[0].line_bytes
-        stride_ok = total < (1 << 31) and bool(np.all(
-            ((strides > 0) & (strides <= line_bytes))
-            | ((strides == 0) & (counts == 1))))
-        if not run_path_applies(lvl, self._params[0]) or not stride_ok:
-            outcome = ("stride_fallback" if run_path_applies(
-                lvl, self._params[0]) else "level_fallback")
-            metrics.inc("repro.cache.run_windows", outcome=outcome)
-            metrics.inc("repro.cache.run_elements", total,
-                        path="materialized")
-            self._feed_level(
-                0, materialize_runs(bases, strides, counts).reshape(-1))
-            return
-        shift = self._shifts[0]
-        nsets = self._nsets[0]
-        # Closed-form interval count — the run path's whole cost scales
-        # with it, so low compression means the flat path wins even
-        # though both are exact. Predicted without decomposing.
-        nv = int(((bases + (counts[:, None] - 1) * strides[:, None])
-                  >> shift).sum() - (bases >> shift).sum()) + bases.size
-        if total < nv * RUN_PROFIT_RATIO:
-            metrics.inc("repro.cache.run_windows", outcome="unprofitable")
-            metrics.inc("repro.cache.run_elements", total,
-                        path="materialized")
-            self._feed_level(
-                0, materialize_runs(bases, strides, counts).reshape(-1))
-            return
-        if _runs_interleave(bases, strides, counts, shift, nsets):
-            metrics.inc("repro.cache.run_windows", outcome="conflict")
-            metrics.inc("repro.cache.run_elements", total,
-                        path="materialized")
-            self._feed_level(
-                0, materialize_runs(bases, strides, counts).reshape(-1))
-            return
-        # Run windows are simulated inline, so L1's flat buffer must
-        # drain first to keep the level's input in stream order; in
-        # shared mode L2's buffered demand is sorted-space line ids,
-        # incompatible with the byte demand runs produce, so the whole
-        # engine drains and stays per-level from here on (statistics
-        # are identical, shared mode is purely a speed mode).
-        if self._shared:
-            self.flush()
-            self._shared = False
-        else:
-            self._flush_level(0)
-        demand = self._run_window(bases, strides, counts)
-        metrics.inc("repro.cache.run_windows", outcome="runs")
-        metrics.inc("repro.cache.run_elements", total, path="runs")
-        if self._nlev > 1 and demand.size:
-            self._feed_level(1, demand)
-
-    def _run_window(self, bases: np.ndarray, strides: np.ndarray,
-                    counts: np.ndarray) -> np.ndarray:
-        """Simulate one run window at L1 without expanding addresses.
-
-        Returns the window's demand stream (missed byte addresses in
-        program order). The caller must have certified the window with
-        :func:`_runs_interleave` first — the closed form is only exact
-        when no two different-line intervals of a set overlap in time.
-
-        Exactness then rests on three facts the flat simulators
-        already rely on: statistics depend only on each set's access
-        subsequence in program order; an access equal to its set
-        predecessor always hits without disturbing LRU state (so each
-        interval contributes its head access only); and with no
-        overlap, the set's subsequence *is* the interval heads in
-        start order.
-        """
-        lvl = self._levels[0]
-        nseg, nrefs = bases.shape
-        shift = self._shifts[0]
-        nsets = self._nsets[0]
-        run, q, line, p, pe = run_line_intervals(
-            bases, strides, counts, shift)
-        nv = p.size
-        total = int(counts.sum()) * nrefs
-        # Two cheap stable passes instead of one comparison sort on a
-        # combined key: ``p`` is a concatenation of per-run ascending
-        # sequences (an int32 radix/timsort best case), and the set
-        # partition is the counting sort the flat path already uses.
-        # Stability makes the per-set streams start-position-ordered,
-        # and ``ip[order]`` maps sorted space back to interval rows.
-        ip = np.argsort(p, kind="stable")
-        order, bp = partition(line[ip] & np.int64(nsets - 1), nsets,
-                              self._strategy)
-        idx = ip[order]
-        lg = line[idx]
-        starts = bp[np.flatnonzero(bp[1:] > bp[:-1])]
-        head = np.empty(nv, dtype=bool)
-        head[0] = True
-        np.not_equal(lg[1:], lg[:-1], out=head[1:])
-        head[starts] = True
-        hidx = np.flatnonzero(head)
-        prefix = np.zeros(nv + 1, dtype=np.int32)
-        np.cumsum(head, out=prefix[1:])
-        miss_core, nmiss = lvl.access_grouped(
-            lg[hidx], prefix[bp].astype(np.int64))
-        lvl.stats.accesses += total
-        lvl.stats.misses += nmiss
-        if self._nlev == 1:
-            return np.empty(0, dtype=np.int64)
-        midx = np.flatnonzero(miss_core)
-        if midx.size == 0:
-            return np.empty(0, dtype=np.int64)
-        # The missed heads' byte addresses, restored to program order
-        # (``p`` *is* the program-order position), are exactly the flat
-        # path's demand-miss stream. Everything here is sized by the
-        # miss count, not the interval count — the common mostly-hit
-        # window pays nothing for demand reconstruction.
-        iv = idx[hidx[midx]]
-        iv = iv[np.argsort(p[iv], kind="stable")]
-        bf = bases.reshape(-1)
-        s_runf = np.maximum(np.repeat(strides, nrefs), 1)
-        riv = run[iv]
-        x = line[iv] << shift
-        x -= bf[riv]
-        s_iv = s_runf[riv]
-        x += s_iv
-        x -= 1
-        if bool(np.all(s_runf & (s_runf - 1) == 0)):
-            sh_runf = np.round(np.log2(s_runf)).astype(np.int64)
-            t = x >> sh_runf[riv]             # == ceil((line<<L - b)/s)
-        else:
-            t = x // s_iv
-        np.maximum(t, 0, out=t)               # run-first intervals: t = 0
-        t *= s_iv
-        t += bf[riv]
-        return t
+        self.feed(materialize_runs(bases, strides, counts).reshape(-1))
 
     def flush(self) -> None:
         """Simulate everything buffered so far (idempotent when empty)."""
@@ -401,43 +137,27 @@ class HierarchyEngine:
                 self._feed_level(i + 1, demand)
 
     def _process(self, i: int, window: np.ndarray) -> np.ndarray | None:
-        """Simulate one window at level ``i``; return its demand stream.
-
-        In shared mode the demand (and level 1's input) are *line ids*
-        in sorted-space order; in per-level mode everything stays byte
-        addresses in program order.
-        """
+        """Simulate one window at level ``i``; return its demand stream
+        (missed byte addresses in program order), or ``None`` at the
+        last level."""
         lvl = self._levels[i]
         last = i + 1 == self._nlev
         if i == 0:
             metrics.inc("repro.cache.batches")
-        if self._shared:
-            lines = window if i else window >> self._shifts[0]
-            order, bp = partition(lvl.set_index(lines), self._nsets[i],
-                                  self._strategy)
-            l_sorted = lines[order]
-            miss_sorted, nmiss = lvl.access_grouped(l_sorted, bp)
-            lvl.stats.accesses += window.size
-            lvl.stats.misses += nmiss
-            if last:
-                return None
-            metrics.inc("repro.cache.shared_sort_hits")
-            return l_sorted[miss_sorted]
         if isinstance(lvl, (DirectMappedCache, AssocScanCache)):
             # Both expose the same caller-owns-stats partitioned
             # contract: set_index() + access_grouped(l_sorted, bp).
             lines = window >> self._shifts[i]
-            order, bp = partition(lvl.set_index(lines), self._nsets[i],
-                                  self._strategy)
+            order, bp = partition(lvl.set_index(lines), self._nsets[i])
             miss_sorted, nmiss = lvl.access_grouped(lines[order], bp)
             lvl.stats.accesses += window.size
             lvl.stats.misses += nmiss
             if last:
                 return None
-            # Demand stream back in program order: scatter the
-            # sorted-space miss positions through the permutation.
-            sel = np.zeros(window.size, dtype=bool)
-            sel[order[miss_sorted]] = True
-            return window[sel]
+            # Demand stream back in program order: the misses'
+            # positions, mapped through the permutation and sorted.
+            pos = order[miss_sorted]
+            pos.sort()
+            return window[pos]
         miss = lvl.access(window)   # 2-way levels keep their own path
         return None if last else window[miss]

@@ -8,7 +8,7 @@ Every internal call site that needs a level simulator for a
 here and nowhere else:
 
 * ``assoc == 1`` — :class:`~repro.cache.direct_mapped.DirectMappedCache`,
-  the counting-partition segmented scan (fastest; also the only class
+  the set-partition segmented scan (fastest; also the only class
   exposing the tag-shift primitives steady-state extrapolation needs);
 * ``assoc == 2`` — :class:`~repro.cache.two_way.TwoWayCache`, the
   run-head-compression specialization (cheaper than the general scan

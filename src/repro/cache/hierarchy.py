@@ -38,10 +38,7 @@ import numpy as np
 from repro.cache.assoc_scan import AssocScanCache
 from repro.cache.base import CacheLevel, CacheStats
 from repro.cache.direct_mapped import DirectMappedCache
-from repro.cache.engine import (
-    HierarchyEngine,
-    shared_partition_applies,
-)
+from repro.cache.engine import HierarchyEngine
 from repro.cache.factory import build_simulator
 from repro.cache.params import CacheParams
 from repro.cache.two_way import TwoWayCache
@@ -110,7 +107,6 @@ class LevelSupport:
 
     #: The level's ``CacheParams.name``.
     name: str
-    #: ``single_sort`` — one shared partition serves both levels;
     #: ``per_level`` — own partition + direct-mapped segmented scan;
     #: ``assoc_scan`` — vectorized exact-LRU path (k-way/fully-assoc
     #: stack-distance scan, or the 2-way run-head specialization);
@@ -118,21 +114,18 @@ class LevelSupport:
     mode: str
     #: Machine-readable cause, mirroring the extrapolation-reason
     #: pattern (:class:`~repro.experiments.extrapolate.ExtrapolationReport`):
-    #: ``classifiers_attached`` / ``shared_partition`` /
+    #: ``classifiers_attached`` /
     #: ``direct_mapped`` / ``two_way_vectorized`` /
     #: ``set_associative`` / ``fully_associative`` /
     #: ``scalar_reference``.
     reason: str
     #: How the level consumes :class:`~repro.trace.runs.RunChunk`
-    #: input: ``intervals`` — the closed-form per-run decomposition
-    #: drives ``access_grouped`` directly (conflicting windows still
-    #: materialize, exactly); ``demand`` — the level never sees runs,
-    #: only the flat miss-filtered demand of the level above;
-    #: ``materialize`` — runs are expanded to flat addresses first.
+    #: input: ``materialize`` — runs are expanded to flat addresses
+    #: first; ``demand`` — the level never sees runs, only the flat
+    #: miss-filtered demand of the level above.
     run_mode: str = "materialize"
-    #: Why ``run_mode`` was chosen: ``direct_mapped`` / ``lru_scan`` /
-    #: ``miss_filtered`` / ``two_way_path`` / ``scalar_reference`` /
-    #: ``classifiers_attached``.
+    #: Why ``run_mode`` was chosen: ``first_level`` /
+    #: ``miss_filtered`` / ``classifiers_attached``.
     run_reason: str = "classifiers_attached"
 
 
@@ -162,24 +155,11 @@ class EngineSupport:
         raise KeyError(name)
 
 
-def _run_support(lvl: CacheLevel, params: CacheParams,
-                 idx: int) -> tuple[str, str]:
-    """(run_mode, run_reason) for one level (see :class:`LevelSupport`)."""
-    if idx > 0:
-        return "demand", "miss_filtered"
-    if isinstance(lvl, DirectMappedCache):
-        return "intervals", "direct_mapped"
-    if isinstance(lvl, AssocScanCache):
-        return "intervals", "lru_scan"
-    if isinstance(lvl, TwoWayCache):
-        return "materialize", "two_way_path"
-    return "materialize", "scalar_reference"
-
-
 def _level_support(lvl: CacheLevel, params: CacheParams,
                    idx: int) -> LevelSupport:
-    """Classify one level for the per-level engine path."""
-    run_mode, run_reason = _run_support(lvl, params, idx)
+    """Classify one level for the engine's per-level path."""
+    run_mode, run_reason = (("demand", "miss_filtered") if idx
+                            else ("materialize", "first_level"))
     if isinstance(lvl, DirectMappedCache):
         return LevelSupport(params.name, "per_level", "direct_mapped",
                             run_mode, run_reason)
@@ -357,34 +337,21 @@ class CacheHierarchy:
     def engine_support(self) -> EngineSupport:
         """Typed per-level report of how :meth:`run` will simulate.
 
-        See :class:`EngineSupport`. The classification mirrors exactly
-        what :class:`~repro.cache.engine.HierarchyEngine` will do —
-        the shared-partition predicate is literally shared code
-        (:func:`~repro.cache.engine.shared_partition_applies`).
+        See :class:`EngineSupport`. The classification mirrors the
+        simulator dispatch in :class:`~repro.cache.engine.HierarchyEngine`.
         """
         if any(c is not None for c in self._classifiers):
             levels = tuple(
                 LevelSupport(p.name, "legacy", "classifiers_attached")
                 for p in self.params)
             return EngineSupport(eligible=False, levels=levels)
-        if shared_partition_applies(self._levels, self.params):
-            # Run chunks are still consumed (the engine drops back to
-            # per-level mode on the first one, identical statistics),
-            # so report the run path the levels would actually take.
-            levels = tuple(
-                LevelSupport(p.name, "single_sort", "shared_partition",
-                             *_run_support(lvl, p, idx))
-                for idx, (lvl, p)
-                in enumerate(zip(self._levels, self.params)))
-            return EngineSupport(eligible=True, levels=levels)
         return EngineSupport(
             eligible=True,
             levels=tuple(_level_support(lvl, p, idx)
                          for idx, (lvl, p)
                          in enumerate(zip(self._levels, self.params))))
 
-    def run(self, chunks, on_chunk=None, *,
-            partition_strategy: str | None = None) -> HierarchyStats:
+    def run(self, chunks, on_chunk=None) -> HierarchyStats:
         """Consume an iterable of chunks and return the statistics.
 
         Each chunk is a :class:`~repro.trace.generator.TraceChunk`, an
@@ -397,9 +364,7 @@ class CacheHierarchy:
 
         Unless miss classifiers are attached, chunks are driven through
         the batched :class:`~repro.cache.engine.HierarchyEngine`
-        (identical statistics, far fewer passes); ``partition_strategy``
-        forwards a :func:`repro.cache.partition.partition` override for
-        differential tests.
+        (identical statistics, far fewer passes).
         """
         support = self.engine_support()
         for ls in support.levels:
@@ -421,9 +386,8 @@ class CacheHierarchy:
                 self.access(addrs, w)
             return self.stats()
 
-        engine = HierarchyEngine(self._levels, self.params,
-                                 partition_strategy)
-        metrics.inc("repro.cache.engine_runs", mode=engine.mode)
+        engine = HierarchyEngine(self._levels, self.params)
+        metrics.inc("repro.cache.engine_runs", mode="per_level")
         around = self.write_policy is WritePolicy.WRITE_AROUND
         self._engine = engine
         try:

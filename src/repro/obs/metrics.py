@@ -46,12 +46,10 @@ name                                   type        labels
 ``repro.perf.point_cache_misses``      counter     —
 ``repro.perf.point_cache_puts``        counter     —
 ``repro.perf.point_cache_evictions``   counter     —
-``repro.cache.engine_runs``            counter     ``mode`` in shared|
-                                                   per_level|legacy
+``repro.cache.engine_runs``            counter     ``mode`` in per_level|
+                                                   legacy
 ``repro.cache.batches``                counter     —
-``repro.cache.partition``              counter     ``strategy`` in
-                                                   counting|argsort
-``repro.cache.shared_sort_hits``       counter     —
+``repro.cache.partition``              counter     ``strategy``: argsort
 ``repro.cache.extrapolation``          counter     ``outcome`` in fired|
                                                    fallback; ``reason``
 ``repro.cache.extrapolation_planes_skipped``  counter  —

@@ -115,7 +115,6 @@ class RunSummary:
     engine_levels: dict[str, dict[str, int]] = field(default_factory=dict)
     #: partition strategy -> invocation count (metrics snapshot).
     partitions: dict[str, int] = field(default_factory=dict)
-    shared_sort_hits: int = 0
     #: affine run-compressed traces (``repro.trace.run_*`` counters):
     #: chunks emitted as runs, stored runs, addresses they represent,
     #: and generator fallbacks by reason.
@@ -123,10 +122,6 @@ class RunSummary:
     run_count: int = 0
     run_addresses: int = 0
     run_fallbacks: dict[str, int] = field(default_factory=dict)
-    #: run consumption at the engine (``repro.cache.run_*`` counters):
-    #: window outcome -> count, element path -> count.
-    run_windows: dict[str, int] = field(default_factory=dict)
-    run_elements: dict[str, int] = field(default_factory=dict)
     #: (kernel, strategy, n, dur_s, refs) of the slowest simulations.
     slowest: list[tuple] = field(default_factory=list)
     #: p50/p90/p95 over every ``simulate`` span duration.
@@ -238,8 +233,6 @@ def summarize(events: list[dict], metrics: dict | None = None,
                 mode = labels.get("mode", "?")
                 by = s.engine_levels.setdefault(lvl, {})
                 by[mode] = by.get(mode, 0) + int(row.get("value", 0))
-            elif name == "repro.cache.shared_sort_hits":
-                s.shared_sort_hits += int(row.get("value", 0))
             elif name == "repro.trace.run_chunks":
                 s.run_chunks += int(row.get("value", 0))
             elif name == "repro.trace.runs":
@@ -250,14 +243,6 @@ def summarize(events: list[dict], metrics: dict | None = None,
                 reason = labels.get("reason", "?")
                 s.run_fallbacks[reason] = (s.run_fallbacks.get(reason, 0)
                                            + int(row.get("value", 0)))
-            elif name == "repro.cache.run_windows":
-                outcome = labels.get("outcome", "?")
-                s.run_windows[outcome] = (s.run_windows.get(outcome, 0)
-                                          + int(row.get("value", 0)))
-            elif name == "repro.cache.run_elements":
-                path = labels.get("path", "?")
-                s.run_elements[path] = (s.run_elements.get(path, 0)
-                                        + int(row.get("value", 0)))
             elif name == "repro.integrity.crc_failures":
                 s.crc_failures += int(row.get("value", 0))
             if row.get("name") == "repro.sim.miss_class":
@@ -310,8 +295,6 @@ def format_report(s: RunSummary) -> str:
         line = f"cache engine: runs [{runs or 'none'}]"
         if parts_str:
             line += f", partitions [{parts_str}]"
-        if s.shared_sort_hits:
-            line += f", {s.shared_sort_hits} shared-sort batches"
         parts.append(line)
     if s.engine_levels:
         per = "; ".join(
@@ -328,16 +311,6 @@ def format_report(s: RunSummary) -> str:
             fb = ", ".join(f"{n} {r}"
                            for r, n in sorted(s.run_fallbacks.items()))
             line += f", fallbacks [{fb}]"
-        if s.run_windows:
-            wins = ", ".join(f"{n} {o}"
-                             for o, n in sorted(s.run_windows.items()))
-            line += f"; engine windows [{wins}]"
-        if s.run_elements:
-            total = sum(s.run_elements.values())
-            direct = s.run_elements.get("runs", 0)
-            if total:
-                line += (f", {100.0 * direct / total:.0f}% of elements "
-                         f"on the closed-form path")
         parts.append(line)
     if s.extrapolation_fired or s.extrapolation_fallback:
         parts.append(

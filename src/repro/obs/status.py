@@ -46,7 +46,7 @@ class StatusPublisher:
     def __init__(self, path=None, *, total: int | None = None,
                  run_id: str | None = None,
                  kernel: str | None = None, progress: bool = False,
-                 interval: float = 0.5):
+                 interval: float = 0.5, clock=time.monotonic):
         self.path = pathlib.Path(path) if path else None
         #: ``None`` for open-ended publishers (the advisor service):
         #: progress renders as ``done/?`` and no ETA is computed.
@@ -55,14 +55,18 @@ class StatusPublisher:
         self.kernel = kernel
         self.progress = progress
         self.interval = interval
+        #: Monotonic seconds source; injectable so tests can pin it.
+        self._clock = clock
         self.done = 0
         self.degraded = 0
         self.quarantined = 0
         self._workers: list[dict] = []
         self._extra: dict = {}
         self._rate: float | None = None
-        self._last_point = time.monotonic()
-        self._last_publish = 0.0
+        self._last_point = clock()
+        #: ``None`` until the first publish, which is never rate-limited
+        #: (a monotonic clock may read below ``interval`` after boot).
+        self._last_publish: float | None = None
 
     @classmethod
     def for_run(cls, ctx, *, total: int | None = None,
@@ -81,7 +85,7 @@ class StatusPublisher:
     def point_done(self, *, degraded: bool = False,
                    quarantined: bool = False) -> None:
         """One point reached a terminal state (any source)."""
-        now = time.monotonic()
+        now = self._clock()
         self.done += 1
         if degraded:
             self.degraded += 1
@@ -138,8 +142,9 @@ class StatusPublisher:
         return body
 
     def publish(self, force: bool = False) -> None:
-        now = time.monotonic()
-        if not force and now - self._last_publish < self.interval:
+        now = self._clock()
+        if (not force and self._last_publish is not None
+                and now - self._last_publish < self.interval):
             return
         self._last_publish = now
         snap = self.snapshot()

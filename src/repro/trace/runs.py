@@ -20,10 +20,10 @@ restriction/prolongation chunks — the generator falls back to a
 materialized :class:`~repro.trace.generator.TraceChunk` for that chunk,
 which is always exact; consumers must accept both forms.
 
-The cache layer consumes runs without expanding them (see
-:func:`repro.cache.partition.run_line_intervals` and the run-aware
-paths in :mod:`repro.cache.engine`); :meth:`RunChunk.materialize` is
-the exact escape hatch for everything else.
+The cache engine expands each run chunk with :func:`materialize_runs`
+just before simulating it (:meth:`RunChunk.materialize` does the same
+for consumers that want a :class:`~repro.trace.generator.TraceChunk`),
+so runs save generation time and chunk memory, not simulation work.
 """
 
 from __future__ import annotations

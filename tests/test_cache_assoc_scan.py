@@ -211,11 +211,11 @@ class TestEngineSupport:
     L1 = CacheParams(1024, 32, 1, "L1")
     L2 = CacheParams(8 * 1024, 32, 1, "L2")
 
-    def test_shared_partition_mode(self):
+    def test_equal_line_sizes_take_per_level_mode(self):
         support = CacheHierarchy([self.L1, self.L2]).engine_support()
         assert support.eligible
-        assert [ls.mode for ls in support.levels] == ["single_sort"] * 2
-        assert support.level("L1").reason == "shared_partition"
+        assert [ls.mode for ls in support.levels] == ["per_level"] * 2
+        assert support.level("L1").reason == "direct_mapped"
 
     def test_per_level_modes_and_reasons(self):
         levels = [CacheParams(1024, 16, 1, "L1"),
@@ -258,19 +258,18 @@ class TestEngineSupport:
     def test_run_support_modes_and_reasons(self):
         support = CacheHierarchy([self.L1, self.L2]).engine_support()
         l1 = support.level("L1")
-        assert (l1.run_mode, l1.run_reason) == ("intervals", "direct_mapped")
+        assert (l1.run_mode, l1.run_reason) == ("materialize", "first_level")
         # Deeper levels see the demand stream of the level above, never
         # the runs themselves.
         l2 = support.level("L2")
         assert (l2.run_mode, l2.run_reason) == ("demand", "miss_filtered")
 
-        kway = CacheHierarchy([CacheParams(4 * 1024, 16, 4, "L1.4w")])
-        ls = kway.engine_support().level("L1.4w")
-        assert (ls.run_mode, ls.run_reason) == ("intervals", "lru_scan")
-
-        twow = CacheHierarchy([CacheParams(4 * 1024, 16, 2, "L1.2w")])
-        ls = twow.engine_support().level("L1.2w")
-        assert (ls.run_mode, ls.run_reason) == ("materialize", "two_way_path")
+        # Every first-level simulator expands runs the same way.
+        for assoc in (2, 4):
+            hier = CacheHierarchy([CacheParams(4 * 1024, 16, assoc, "L1")])
+            ls = hier.engine_support().level("L1")
+            assert (ls.run_mode, ls.run_reason) == ("materialize",
+                                                    "first_level")
 
     @pytest.mark.parametrize("assoc", (4, 64))
     def test_hierarchy_run_matches_scalar_with_assoc_level(self, assoc):

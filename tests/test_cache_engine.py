@@ -1,10 +1,10 @@
 """Differential tests of the batched hierarchy engine.
 
 The engine's contract is *bit-for-bit* equality: whatever path a
-stream takes — legacy per-chunk ``access()`` loop, batched engine in
-shared or per-level mode, counting or argsort partition, any chunk
-split — the resulting :class:`HierarchyStats` must be identical, and
-identical to the scalar :class:`SetAssociativeCache` ground truth.
+stream takes — legacy per-chunk ``access()`` loop or the batched
+engine, any chunk split, any mid-stream ``invalidate()`` — the
+resulting :class:`HierarchyStats` must be identical, and identical to
+the scalar :class:`SetAssociativeCache` ground truth.
 These tests hold every pairing to that, over randomized streams that
 mix uniform-random, strided-sweep, and hot-set phases so both
 miss-heavy and hit-heavy regimes are exercised across window
@@ -13,27 +13,33 @@ boundaries (streams are sized past ``BATCH_TARGET`` on purpose).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache import (
     BATCH_TARGET,
     CacheHierarchy,
     CacheParams,
-    HierarchyEngine,
     SetAssociativeCache,
     WritePolicy,
-    counting_available,
     partition,
 )
 
 # Geometry zoo: name -> level params. Small caches so random streams
-# actually collide; each exercises a distinct engine mode.
+# actually collide; each exercises a distinct simulator pairing.
 GEOMETRIES = {
-    # paper-shaped: 32B L1 lines, 64B L2 lines -> per_level mode
+    # paper-shaped: 32B L1 lines, 64B L2 lines
     "paper_mixed_lines": (CacheParams(4 * 1024, 32, 1, "L1"),
                           CacheParams(64 * 1024, 64, 1, "L2")),
-    # equal line sizes, S1 <= S2 -> shared single-partition mode
+    # equal 64B line sizes, S1 <= S2 (the lattice's 1-way/64B cells;
+    # once served by a shared single-sort mode, now per-level)
     "equal_lines_shared": (CacheParams(4 * 1024, 64, 1, "L1"),
                            CacheParams(64 * 1024, 64, 1, "L2")),
+    # 64B-line 2-way and 4-way L1 over a 64B L2 (the lattice's
+    # associative 64B cells)
+    "l1_64b_2way": (CacheParams(4 * 1024, 64, 2, "L1"),
+                    CacheParams(64 * 1024, 64, 1, "L2")),
+    "l1_64b_4way": (CacheParams(4 * 1024, 64, 4, "L1"),
+                    CacheParams(64 * 1024, 64, 1, "L2")),
     # one level only
     "single_level": (CacheParams(2 * 1024, 32, 1, "L1"),),
     # 2-way L2 -> TwoWayCache level inside the engine's per-level path
@@ -154,21 +160,10 @@ def test_engine_matches_legacy_access_loop(geometry):
     assert_same_stats(engine_stats, legacy_hier.stats())
 
 
-@pytest.mark.parametrize("geometry", ["paper_mixed_lines",
-                                      "equal_lines_shared",
-                                      "set_count_boundary"])
-def test_partition_strategies_give_identical_stats(geometry):
-    params = GEOMETRIES[geometry]
-    rng = np.random.default_rng(hash(geometry) % (1 << 31))
-    stream = mixed_stream(rng, BATCH_TARGET + 1009, params[0].line_bytes,
-                          3 * max(p.num_lines for p in params))
-
-    by_strategy = {}
-    for strategy in ("counting", "argsort"):
-        hier = CacheHierarchy(list(params))
-        by_strategy[strategy] = hier.run(
-            iter([(stream, None)]), partition_strategy=strategy)
-    assert_same_stats(by_strategy["counting"], by_strategy["argsort"])
+def _expected_partition(keys, num_keys):
+    order = np.argsort(keys, kind="stable")
+    bp = np.r_[0, np.cumsum(np.bincount(keys, minlength=num_keys))]
+    return order, bp
 
 
 def test_partition_permutation_identical_to_stable_argsort():
@@ -176,25 +171,73 @@ def test_partition_permutation_identical_to_stable_argsort():
     # 2**15 keys is the int16-narrowing boundary (max key 32767).
     for num_keys in (512, 1 << 15):
         keys = rng.integers(0, num_keys, size=50_000)
-        expect_order = np.argsort(keys, kind="stable")
-        expect_bp = np.r_[0, np.cumsum(np.bincount(keys,
-                                                   minlength=num_keys))]
-        for strategy in ("counting", "argsort"):
-            order, bp = partition(keys, num_keys, strategy)
-            np.testing.assert_array_equal(order, expect_order)
-            np.testing.assert_array_equal(bp, expect_bp)
+        expect_order, expect_bp = _expected_partition(keys, num_keys)
+        order, bp = partition(keys, num_keys)
+        np.testing.assert_array_equal(order, expect_order)
+        np.testing.assert_array_equal(bp, expect_bp)
+
+
+@st.composite
+def _keyed_arrays(draw):
+    """Keys in ``[0, num_keys)`` for int16 and int32 key spaces,
+    straddling the int16 narrowing boundary ``2**15``."""
+    num_keys = draw(st.sampled_from(
+        [1, 2, 512, (1 << 15) - 1, 1 << 15, (1 << 15) + 1, 1 << 16,
+         1 << 20]))
+    dtypes = [np.int32, np.int64]
+    if num_keys <= (1 << 15):
+        dtypes.append(np.int16)
+    dtype = draw(st.sampled_from(dtypes))
+    # Up to 20000 keys: both boundary methods (binary search for few
+    # groups, bincount for many) are exercised.
+    size = draw(st.integers(0, 20_000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # A narrow band of keys as well as the full range: repeated keys
+    # are what stability is about.
+    hi = draw(st.sampled_from([num_keys, min(num_keys, 8)]))
+    lo = num_keys - hi if draw(st.booleans()) else 0
+    keys = rng.integers(lo, lo + hi, size=size).astype(dtype)
+    return keys, num_keys
+
+
+@given(_keyed_arrays())
+@settings(max_examples=60, deadline=None)
+def test_partition_equals_stable_argsort_property(case):
+    keys, num_keys = case
+    order, bp = partition(keys, num_keys)
+    expect_order, expect_bp = _expected_partition(keys.astype(np.int64),
+                                                  num_keys)
+    np.testing.assert_array_equal(order, expect_order)
+    assert bp.dtype == np.int64 and bp.size == num_keys + 1
+    np.testing.assert_array_equal(bp, expect_bp)
+
+
+def test_partition_packed_dtype_boundary():
+    """Position and key bits exactly fill int32 and the boundaries come
+    from the binary search: the end boundary must not overflow."""
+    rng = np.random.default_rng(11)
+    num_keys = 1 << 13
+    keys = rng.integers(0, num_keys, size=(1 << 17) + 1)
+    order, bp = partition(keys, num_keys)
+    expect_order, expect_bp = _expected_partition(keys, num_keys)
+    np.testing.assert_array_equal(order, expect_order)
+    np.testing.assert_array_equal(bp, expect_bp)
 
 
 def test_partition_rejects_unknown_strategy():
-    with pytest.raises(ValueError, match="unknown partition strategy"):
+    """The partition-strategy knobs are gone: one algorithm, no override."""
+    with pytest.raises(TypeError):
         partition(np.zeros(4, dtype=np.int64), 16, "quantum")
+    hier = CacheHierarchy(list(GEOMETRIES["paper_mixed_lines"]))
+    with pytest.raises(TypeError):
+        hier.run(iter([]), partition_strategy="argsort")
 
 
 def test_partition_empty_input():
-    for strategy in ("counting", "argsort"):
-        order, bp = partition(np.empty(0, dtype=np.int64), 8, strategy)
-        assert order.size == 0
-        np.testing.assert_array_equal(bp, np.zeros(9, dtype=np.int64))
+    order, bp = partition(np.empty(0, dtype=np.int64), 8)
+    assert order.size == 0
+    np.testing.assert_array_equal(bp, np.zeros(9, dtype=np.int64))
 
 
 def test_chunk_split_invariance():
@@ -212,10 +255,9 @@ def test_chunk_split_invariance():
         assert_same_stats(whole, split)
 
 
-def test_mid_stream_invalidate_between_runs():
-    """invalidate() drops contents, keeps stats — engine path included."""
-    params = GEOMETRIES["equal_lines_shared"]
-    rng = np.random.default_rng(29)
+def _check_mid_stream_invalidate(geometry, seed):
+    params = GEOMETRIES[geometry]
+    rng = np.random.default_rng(seed)
     a = mixed_stream(rng, BATCH_TARGET + 41, params[0].line_bytes, 2000)
     b = mixed_stream(rng, BATCH_TARGET + 43, params[0].line_bytes, 2000)
 
@@ -239,6 +281,17 @@ def test_mid_stream_invalidate_between_runs():
     assert_matches_ground_truth(stats, sims, reads, 0)
 
 
+def test_mid_stream_invalidate_between_runs():
+    """invalidate() drops contents, keeps stats — engine path included."""
+    _check_mid_stream_invalidate("equal_lines_shared", 29)
+
+
+@pytest.mark.parametrize("geometry", ["paper_mixed_lines", "l1_64b_2way",
+                                      "l1_64b_4way"])
+def test_mid_stream_invalidate_across_geometries(geometry):
+    _check_mid_stream_invalidate(geometry, 37)
+
+
 def test_two_way_state_carries_across_chunks():
     """A 2-way level keeps exact LRU state across engine windows."""
     params = GEOMETRIES["two_way_l2"]
@@ -254,24 +307,18 @@ def test_two_way_state_carries_across_chunks():
 
 
 def test_engine_mode_detection():
-    def mode(params):
-        hier = CacheHierarchy(list(params))
-        return HierarchyEngine(hier.levels, hier.params).mode
+    """Every engine-driven level takes the per-level path: equal line
+    sizes no longer select a shared-partition mode."""
+    def modes(params):
+        support = CacheHierarchy(list(params)).engine_support()
+        return [ls.mode for ls in support.levels]
 
-    assert mode(GEOMETRIES["equal_lines_shared"]) == "shared"
-    assert mode(GEOMETRIES["paper_mixed_lines"]) == "per_level"
-    assert mode(GEOMETRIES["two_way_l2"]) == "per_level"
-    assert mode(GEOMETRIES["four_way_l2"]) == "per_level"
-    assert mode(GEOMETRIES["fully_assoc_l1"]) == "per_level"
-    # S1 > S2 breaks the low-bits containment shared mode needs.
+    assert modes(GEOMETRIES["equal_lines_shared"]) == ["per_level"] * 2
+    assert modes(GEOMETRIES["paper_mixed_lines"]) == ["per_level"] * 2
+    assert modes(GEOMETRIES["two_way_l2"]) == ["per_level", "assoc_scan"]
+    assert modes(GEOMETRIES["four_way_l2"]) == ["per_level", "assoc_scan"]
+    assert modes(GEOMETRIES["fully_assoc_l1"]) == ["assoc_scan",
+                                                    "per_level"]
     inverted = (CacheParams(64 * 1024, 64, 1, "L1"),
                 CacheParams(4 * 1024, 64, 1, "L2"))
-    assert mode(inverted) == "per_level"
-
-
-def test_counting_strategy_available_matches_scipy():
-    try:
-        from scipy.sparse import _sparsetools  # noqa: F401
-        assert counting_available()
-    except ImportError:
-        assert not counting_available()
+    assert modes(inverted) == ["per_level"] * 2

@@ -160,19 +160,19 @@ class TestEngineSupportLine:
     def test_summarize_collects_level_modes(self):
         metrics = {"counters": [
             {"name": "repro.cache.engine_level_mode",
-             "labels": {"level": "L1", "mode": "single_sort"}, "value": 3},
+             "labels": {"level": "L1", "mode": "per_level"}, "value": 3},
             {"name": "repro.cache.engine_level_mode",
-             "labels": {"level": "L2", "mode": "single_sort"}, "value": 3},
+             "labels": {"level": "L2", "mode": "per_level"}, "value": 3},
             {"name": "repro.cache.engine_level_mode",
              "labels": {"level": "L1", "mode": "assoc_scan"}, "value": 1},
         ]}
         s = summarize([], metrics)
         assert s.engine_levels == {
-            "L1": {"single_sort": 3, "assoc_scan": 1},
-            "L2": {"single_sort": 3}}
+            "L1": {"per_level": 3, "assoc_scan": 1},
+            "L2": {"per_level": 3}}
         out = format_report(s)
-        assert "engine support: L1 [1 assoc_scan, 3 single_sort]; " \
-               "L2 [3 single_sort]" in out
+        assert "engine support: L1 [1 assoc_scan, 3 per_level]; " \
+               "L2 [3 per_level]" in out
 
     def test_clean_slate_renders_no_support_line(self):
         assert "engine support:" not in format_report(summarize([]))
@@ -189,25 +189,19 @@ class TestTraceCompressionLine:
              "value": 50_000},
             {"name": "repro.trace.run_fallback",
              "labels": {"reason": "small_chunk"}, "value": 3},
-            {"name": "repro.cache.run_windows",
-             "labels": {"outcome": "runs"}, "value": 5},
+            # Written by older engines; read and ignored.
             {"name": "repro.cache.run_windows",
              "labels": {"outcome": "unprofitable"}, "value": 2},
-            {"name": "repro.cache.run_elements",
-             "labels": {"path": "runs"}, "value": 30_000},
-            {"name": "repro.cache.run_elements",
-             "labels": {"path": "materialized"}, "value": 10_000},
         ]}
         s = summarize([], metrics)
         assert s.run_chunks == 4 and s.run_count == 200
         assert s.run_fallbacks == {"small_chunk": 3}
-        assert s.run_windows == {"runs": 5, "unprofitable": 2}
         out = format_report(s)
-        assert ("trace compression: 4 run chunks "
-                "(200 runs for 50000 addresses, 250.0:1)"
-                ", fallbacks [3 small_chunk]"
-                "; engine windows [5 runs, 2 unprofitable]"
-                ", 75% of elements on the closed-form path") in out
+        line = next(ln for ln in out.splitlines()
+                    if ln.startswith("trace compression:"))
+        assert line == ("trace compression: 4 run chunks "
+                        "(200 runs for 50000 addresses, 250.0:1)"
+                        ", fallbacks [3 small_chunk]")
 
     def test_clean_slate_renders_no_compression_line(self):
         assert "trace compression:" not in format_report(summarize([]))

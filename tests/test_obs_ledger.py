@@ -120,6 +120,22 @@ class TestStatusPublisher:
         pub.finish()  # forced
         assert read_status(path)["done"] == 2
 
+    def test_first_publish_on_freshly_booted_clock(self, tmp_path):
+        """A monotonic clock reading below ``interval`` (a host up for
+        less than the interval) must not swallow the first publish."""
+        path = tmp_path / "status.json"
+        now = [5.0]
+        pub = StatusPublisher(path, total=3, interval=3600.0,
+                              clock=lambda: now[0])
+        pub.point_done()
+        assert read_status(path)["done"] == 1
+        now[0] = 6.0
+        pub.point_done()  # inside the interval: suppressed
+        assert read_status(path)["done"] == 1
+        now[0] = 3606.0
+        pub.point_done()  # interval elapsed since the first publish
+        assert read_status(path)["done"] == 3
+
     def test_crc_tamper_flagged(self, tmp_path):
         path = tmp_path / "status.json"
         StatusPublisher(path, total=1, interval=0.0).point_done()

@@ -58,6 +58,38 @@ class TestModuleHygiene:
                      "repro.timeskew"):
             importlib.import_module(name)
 
+    def test_cli_import_does_not_load_scipy(self):
+        """Import-cost tripwire: ``scipy.sparse`` alone used to be most
+        of the CLI's start-up time."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.cli, sys; print('scipy' in sys.modules)"],
+            check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
+    def test_no_source_file_imports_scipy(self):
+        import ast
+        import pathlib
+
+        offenders = []
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n.split(".")[0] == "scipy" for n in names):
+                    offenders.append(f"{path}:{node.lineno}")
+        assert not offenders, offenders
+
 
 class TestCrossModuleConsistency:
     def test_selection_feeds_kernels(self):

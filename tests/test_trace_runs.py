@@ -2,21 +2,19 @@
 
 The contract under test is absolute: every consumer must see the exact
 interleaved reference stream whether a chunk arrives materialized or as
-``(base, stride, count)`` runs, and the cache engine's run-aware paths
-must produce bit-for-bit the same statistics as the flat path — across
-kernels, strategies, geometries, chunk splits, and mid-stream
-invalidation.
+``(base, stride, count)`` runs, and the cache engine must produce
+bit-for-bit the same statistics from runs as from the flat path — and
+as the scalar :class:`SetAssociativeCache` reference — across kernels,
+strategies, geometries, chunk splits, and mid-stream invalidation.
 """
 
 import numpy as np
 import pytest
 
-import repro.cache.engine as engine_mod
 import repro.trace.runs as runs_mod
-from repro.cache.engine import _runs_interleave
 from repro.cache.hierarchy import CacheHierarchy, WritePolicy
 from repro.cache.params import CacheParams
-from repro.cache.partition import run_line_intervals
+from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.selector import select
 from repro.errors import TraceError
 from repro.experiments.runner import _schedule_for
@@ -33,6 +31,10 @@ GEOMETRIES = {
                CacheParams(1 << 20, 64, 1, "L2")],
     "wide64": [CacheParams(16384, 64, 1, "L1"),
                CacheParams(1 << 20, 64, 1, "L2")],
+    "wide64_2way": [CacheParams(16384, 64, 2, "L1"),
+                    CacheParams(1 << 20, 64, 1, "L2")],
+    "wide64_4way": [CacheParams(16384, 64, 4, "L1"),
+                    CacheParams(1 << 20, 64, 1, "L2")],
     "assoc4": [CacheParams(16384, 32, 4, "L1"),
                CacheParams(1 << 20, 64, 4, "L2")],
     "l1only": [CacheParams(16384, 32, 1, "L1")],
@@ -57,6 +59,23 @@ def _run_stats(kernel, strategy, n, nk, form, geometry):
     st = hier.run(_kernel_chunks(kernel, strategy, n, nk, form))
     return (st.reads, st.writes,
             tuple((name, s.accesses, s.misses) for name, s in st.levels))
+
+
+def _scalar_stats(kernel, strategy, n, nk, geometry):
+    """The same point through the scalar write-around reference stack."""
+    sims = [SetAssociativeCache(p) for p in GEOMETRIES[geometry]]
+    reads = writes = 0
+    for chunk in _kernel_chunks(kernel, strategy, n, nk, "flat"):
+        addrs, w = chunk.pair()
+        nw = int(np.count_nonzero(w))
+        reads += addrs.size - nw
+        writes += nw
+        cur = addrs[~w]
+        for sim in sims:
+            cur = cur[sim.access(cur)]
+    return (reads, writes,
+            tuple((p.name, sim.stats.accesses, sim.stats.misses)
+                  for p, sim in zip(GEOMETRIES[geometry], sims)))
 
 
 def _interleaved_rows(n_rows, n_cols, eb=8):
@@ -231,77 +250,6 @@ class TestGeneratorRunsForm:
         assert reg.counter_total("repro.trace.run_chunks") == 0
 
 
-class TestRunLineIntervals:
-    @pytest.mark.parametrize("stride", (8, 24, 32))
-    def test_matches_bruteforce(self, stride):
-        rng = np.random.default_rng(11 + stride)
-        line_shift = 6
-        counts = np.array([17, 1, 40, 9], dtype=np.int64)
-        strides = np.full(4, stride, dtype=np.int64)
-        bases = rng.integers(0, 1 << 16, size=(4, 3)).astype(np.int64)
-        run, q, line, p, pe = run_line_intervals(bases, strides, counts,
-                                                 line_shift)
-        nrefs = bases.shape[1]
-        offs = np.concatenate([[0], np.cumsum(counts)[:-1]]) * nrefs
-        expect = []
-        for g in range(4):
-            for c in range(nrefs):
-                t = np.arange(counts[g])
-                lines = (bases[g, c] + t * strides[g]) >> line_shift
-                starts = np.flatnonzero(np.diff(lines, prepend=lines[0] - 1))
-                ends = np.append(starts[1:], t.size) - 1
-                for qq, (s, e) in enumerate(zip(starts, ends)):
-                    expect.append((g * nrefs + c, qq, lines[s],
-                                   offs[g] + s * nrefs + c,
-                                   offs[g] + e * nrefs + c))
-        got = sorted(zip(run.tolist(), q.tolist(), line.tolist(),
-                         p.tolist(), pe.tolist()))
-        assert got == sorted(expect)
-
-    def test_interval_positions_are_int32(self):
-        bases = np.array([[0]], dtype=np.int64)
-        out = run_line_intervals(bases, np.array([8], dtype=np.int64),
-                                 np.array([100], dtype=np.int64), 5)
-        run, q, line, p, pe = out
-        assert run.dtype == np.int32 and q.dtype == np.int32
-        assert p.dtype == np.int32 and pe.dtype == np.int32
-
-
-class TestInterleaveCertificate:
-    LINE_SHIFT = 5  # 32-byte lines
-
-    def test_disjoint_runs_have_no_conflict(self):
-        # 33 lines apart in a 64-set cache: distinct sets throughout
-        # the runs' spans (64 iterations cover 16 lines each).
-        bases = np.array([[0, 33 << self.LINE_SHIFT]], dtype=np.int64)
-        assert _runs_interleave(bases, np.array([8], dtype=np.int64),
-                                np.array([64], dtype=np.int64),
-                                self.LINE_SHIFT, 64) is False
-
-    def test_same_set_different_line_conflicts(self):
-        # delta lines = nsets -> same set, different line, in lockstep.
-        nsets = 16
-        bases = np.array([[0, nsets << self.LINE_SHIFT]], dtype=np.int64)
-        assert _runs_interleave(bases, np.array([8], dtype=np.int64),
-                                np.array([64], dtype=np.int64),
-                                self.LINE_SHIFT, nsets) is True
-
-    def test_adjacent_line_phase_conflict_detected(self):
-        # delta = +1 with phase ordering satisfied: b one line ahead
-        # of a but with larger sub-line phase, single-set cache.
-        bases = np.array([[0, (1 << self.LINE_SHIFT) + 16]],
-                         dtype=np.int64)
-        assert _runs_interleave(bases, np.array([8], dtype=np.int64),
-                                np.array([64], dtype=np.int64),
-                                self.LINE_SHIFT, 1) is True
-
-    def test_singleton_runs_never_conflict(self):
-        bases = np.array([[0, 0, 32]], dtype=np.int64)
-        assert _runs_interleave(bases, np.array([8], dtype=np.int64),
-                                np.array([1], dtype=np.int64),
-                                self.LINE_SHIFT, 1) is False
-
-
 class TestEngineDifferential:
     """Runs must be bit-for-bit equal to flat — the tentpole invariant."""
 
@@ -324,41 +272,27 @@ class TestEngineDifferential:
         runs = _run_stats(kernel, strategy, 50, 12, "runs", "std")
         assert flat == runs
 
-    @pytest.mark.parametrize("geometry", ("std", "wide64", "assoc4",
+    @pytest.mark.parametrize("geometry", ("std", "wide64", "wide64_2way",
+                                          "wide64_4way", "assoc4",
                                           "l1only"))
-    def test_forced_closed_form(self, geometry, monkeypatch):
-        """With the profitability gate and the chunk-size floor off,
-        every eligible window takes the closed-form interval path —
-        it must still match flat exactly."""
-        monkeypatch.setattr(engine_mod, "RUN_PROFIT_RATIO", 0)
+    def test_runs_match_flat(self, geometry, monkeypatch):
+        """With the chunk-size floor off every kernel emits run chunks;
+        runs, flat and the scalar reference agree on every geometry,
+        64-byte L1 lines at 1, 2 and 4 ways included."""
         monkeypatch.setattr(runs_mod, "MIN_CHUNK_ADDRESSES", 0)
         for kernel, strategy in (("JACOBI", "Orig"), ("JACOBI", "GcdPad"),
                                  ("RESID", "GcdPad"), ("REDBLACK", "Orig")):
             flat = _run_stats(kernel, strategy, 40, 10, "flat", geometry)
             runs = _run_stats(kernel, strategy, 40, 10, "runs", geometry)
             assert flat == runs, (kernel, strategy, geometry)
+        assert runs == _scalar_stats("REDBLACK", "Orig", 40, 10, geometry)
 
-    def test_profitable_windows_take_run_path(self, monkeypatch):
-        """64-byte lines over 8-byte strides clear the profitability
-        gate, so wide geometry must actually exercise the closed form
-        (guards against the fast path silently never engaging)."""
-        monkeypatch.setattr(runs_mod, "MIN_CHUNK_ADDRESSES", 0)
-        with metrics.collect() as reg:
-            _run_stats("JACOBI", "Orig", 40, 10, "runs", "wide64")
-        assert reg.counter_total("repro.cache.run_windows",
-                                 outcome="runs") > 0
-        assert reg.counter_total("repro.cache.run_elements",
-                                 path="runs") > 0
-
-    def test_mid_stream_invalidate(self, monkeypatch):
-        """A cold restart half-way through the stream must not break
-        runs/flat equivalence (carried stats + fresh engine epoch)."""
-        monkeypatch.setattr(runs_mod, "MIN_CHUNK_ADDRESSES", 0)
+    def _invalidate_mid_stream(self, geometry):
         results = {}
         for form in ("flat", "runs"):
             chunks = list(_kernel_chunks("RESID", "Orig", 40, 10, form))
             assert len(chunks) >= 2
-            hier = CacheHierarchy(GEOMETRIES["std"],
+            hier = CacheHierarchy(GEOMETRIES[geometry],
                                   WritePolicy.WRITE_AROUND)
             hier.run(iter(chunks[:len(chunks) // 2]))
             hier.invalidate()
@@ -367,6 +301,18 @@ class TestEngineDifferential:
                              tuple((name, s.accesses, s.misses)
                                    for name, s in st.levels))
         assert results["flat"] == results["runs"]
+
+    def test_mid_stream_invalidate(self, monkeypatch):
+        """A cold restart half-way through the stream must not break
+        runs/flat equivalence (carried stats + fresh engine epoch)."""
+        monkeypatch.setattr(runs_mod, "MIN_CHUNK_ADDRESSES", 0)
+        self._invalidate_mid_stream("std")
+
+    @pytest.mark.parametrize("geometry", ("wide64", "wide64_2way",
+                                          "wide64_4way"))
+    def test_mid_stream_invalidate_wide_lines(self, geometry, monkeypatch):
+        monkeypatch.setattr(runs_mod, "MIN_CHUNK_ADDRESSES", 0)
+        self._invalidate_mid_stream(geometry)
 
     def test_min_run_length_guard_holds(self, monkeypatch):
         # The generator's own floor: emitted run chunks always average
