@@ -45,9 +45,7 @@ def simulate(kern, sel, cfg, schedule=None, refs=None,
                              tj=tile.tj if tile else None,
                              tk=sel.array_tile.tk if sel.array_tile else None),
             refs)
-    for addrs, w in chunks:
-        hier.access(addrs, w)
-    st = hier.stats()
+    st = hier.run(chunks)
     return 100 * st.global_miss_rate(0), 100 * st.global_miss_rate(1)
 
 

@@ -37,8 +37,8 @@ def test_trace_generation_throughput(benchmark):
 
     def gen():
         total = 0
-        for addrs, _ in kern.trace(sel):
-            total += addrs.size
+        for c in kern.trace(sel):
+            total += c.addresses.size
         return total
 
     total = benchmark(gen)

@@ -24,10 +24,7 @@ def test_time_skewed_jacobi2d(benchmark, out_dir, cfg):
         out = {}
         for label, tracer in (("plain sweeps", untiled_trace),
                               ("time-skewed", skewed_trace)):
-            h = CacheHierarchy(cfg.levels)
-            for a, w in tracer(sched):
-                h.access(a, w)
-            st = h.stats()
+            st = CacheHierarchy(cfg.levels).run(tracer(sched))
             out[label] = (100 * st.global_miss_rate(0),
                           100 * st.global_miss_rate(1))
         return out

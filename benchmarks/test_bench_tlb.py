@@ -32,8 +32,8 @@ def test_tlb_tile_shape(benchmark, out_dir, cfg):
             sel = SelectionResult("x", tilesize, di_p=n, dj_p=n)
             tlb = build_tlb(ULTRASPARC2_DTLB)
             total = misses = 0
-            for addrs, w in kern.trace(sel, Schedule.TILED):
-                m = tlb.access(addrs)
+            for c in kern.trace(sel, Schedule.TILED):
+                m = tlb.access(c.addresses)
                 misses += int(m.sum())
                 total += m.size
             rows.append([label, f"{100 * misses / total:.3f}"])

@@ -23,10 +23,7 @@ from repro.types import SelectionResult
 
 def simulate(kern: RedBlack3D, schedule: Schedule, sel: SelectionResult,
              cfg: ExperimentConfig):
-    hier = CacheHierarchy(cfg.levels)
-    for addrs, w in kern.trace(sel, schedule):
-        hier.access(addrs, w)
-    st = hier.stats()
+    st = CacheHierarchy(cfg.levels).run(kern.trace(sel, schedule))
     return (100 * st.global_miss_rate(0), 100 * st.global_miss_rate(1))
 
 

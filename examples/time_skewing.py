@@ -55,10 +55,7 @@ def main() -> None:
     rows = []
     for label, tracer in (("plain sweeps", untiled_trace),
                           ("time-skewed", skewed_trace)):
-        h = CacheHierarchy(cfg.levels)
-        for a, w in tracer(sched):
-            h.access(a, w)
-        st = h.stats()
+        st = CacheHierarchy(cfg.levels).run(tracer(sched))
         rows.append([label, f"{100 * st.global_miss_rate(0):.2f}",
                      f"{100 * st.global_miss_rate(1):.2f}"])
     print(format_table(["schedule", "L1 miss %", "L2 miss %"], rows,

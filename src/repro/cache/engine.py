@@ -1,14 +1,12 @@
 """Batched hierarchy engine.
 
 :meth:`CacheHierarchy.run <repro.cache.hierarchy.CacheHierarchy.run>`
-drives this engine whenever no miss classifiers are attached (3C
-classification needs per-access masks the batched form never builds).
-It produces **bit-for-bit** the same :class:`HierarchyStats` as the
-per-chunk ``access()`` loop — the differential tests in
-``tests/test_cache_engine.py`` hold it to that — by exploiting a
-property both paths share: direct-mapped/LRU simulation with carried
-state is *split-invariant*, so the stream may be re-batched freely
-without changing a single miss.
+drives every trace through this engine. It produces **bit-for-bit**
+the same :class:`HierarchyStats` as the per-chunk ``access()`` loop —
+the differential tests in ``tests/test_cache_engine.py`` hold it to
+that — by exploiting a property both paths share: direct-mapped/LRU
+simulation with carried state is *split-invariant*, so the stream may
+be re-batched freely without changing a single miss.
 
 **Windowed batching.** Every level consumes its input stream in
 windows of about :data:`BATCH_TARGET` addresses. Chunks smaller than a
@@ -34,6 +32,10 @@ order, are the next level's input. Affine run chunks
 single-sort mode (equal L1/L2 line sizes only) and a closed-form run
 path (L1 simulated from per-line run intervals) were removed because
 neither paid on the paper's geometry; EXPERIMENTS.md has the numbers.
+
+**Miss classification.** A level's attached
+:class:`~repro.cache.classify.MissClassifier` gets each window and its
+program-order miss mask (built from the demand stream's positions).
 
 The engine is created per ``run()`` and owns no cache state — tags and
 statistics live in the level simulators exactly as before, so carried
@@ -74,10 +76,13 @@ class HierarchyEngine:
         The hierarchy's live level simulators (state + stats holders).
     params:
         Matching :class:`~repro.cache.params.CacheParams` per level.
+    classifiers:
+        Optional per-level miss classifiers (``None`` entries allowed).
     """
 
-    def __init__(self, levels, params):
+    def __init__(self, levels, params, classifiers=None):
         self._levels = list(levels)
+        self._classifiers = list(classifiers or [None] * len(self._levels))
         self._shifts = [int(p.line_bytes).bit_length() - 1 for p in params]
         self._nsets = [p.num_sets for p in params]
         self._nlev = len(self._levels)
@@ -141,6 +146,7 @@ class HierarchyEngine:
         (missed byte addresses in program order), or ``None`` at the
         last level."""
         lvl = self._levels[i]
+        cls = self._classifiers[i]
         last = i + 1 == self._nlev
         if i == 0:
             metrics.inc("repro.cache.batches")
@@ -152,12 +158,18 @@ class HierarchyEngine:
             miss_sorted, nmiss = lvl.access_grouped(lines[order], bp)
             lvl.stats.accesses += window.size
             lvl.stats.misses += nmiss
-            if last:
+            if last and cls is None:
                 return None
             # Demand stream back in program order: the misses'
             # positions, mapped through the permutation and sorted.
             pos = order[miss_sorted]
             pos.sort()
-            return window[pos]
+            if cls is not None:
+                miss = np.zeros(window.size, dtype=bool)
+                miss[pos] = True
+                cls.classify(window, miss)
+            return None if last else window[pos]
         miss = lvl.access(window)   # 2-way levels keep their own path
+        if cls is not None:
+            cls.classify(window, miss)
         return None if last else window[miss]

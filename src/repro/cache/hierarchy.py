@@ -26,6 +26,11 @@ Use :meth:`CacheHierarchy.invalidate` to model a mid-stream cold
 restart (contents dropped, statistics preserved by merging into the
 hierarchy's carry accumulators) and :meth:`CacheHierarchy.reset` to
 zero everything.
+
+:meth:`CacheHierarchy.run` streams a whole trace through the batched
+:class:`~repro.cache.engine.HierarchyEngine`; attached miss
+classifiers (:mod:`repro.cache.classify`) ride the same engine, so an
+observed run simulates exactly like a plain one.
 """
 
 from __future__ import annotations
@@ -92,15 +97,6 @@ class HierarchyStats:
         return "  ".join(parts)
 
 
-def build_level(params: CacheParams) -> CacheLevel:
-    """Pick the fastest simulator able to model ``params``.
-
-    Thin wrapper over :func:`repro.cache.factory.build_simulator`, the
-    single home of the geometry→simulator policy.
-    """
-    return build_simulator(params)
-
-
 @dataclass(frozen=True)
 class LevelSupport:
     """How the batched engine will drive one hierarchy level."""
@@ -110,41 +106,31 @@ class LevelSupport:
     #: ``per_level`` — own partition + direct-mapped segmented scan;
     #: ``assoc_scan`` — vectorized exact-LRU path (k-way/fully-assoc
     #: stack-distance scan, or the 2-way run-head specialization);
-    #: ``legacy`` — per-chunk scalar simulation.
+    #: ``legacy`` — the level's own scalar ``access()`` per window.
     mode: str
     #: Machine-readable cause, mirroring the extrapolation-reason
     #: pattern (:class:`~repro.experiments.extrapolate.ExtrapolationReport`):
-    #: ``classifiers_attached`` /
     #: ``direct_mapped`` / ``two_way_vectorized`` /
     #: ``set_associative`` / ``fully_associative`` /
     #: ``scalar_reference``.
     reason: str
     #: How the level consumes :class:`~repro.trace.runs.RunChunk`
     #: input: ``materialize`` — runs are expanded to flat addresses
-    #: first; ``demand`` — the level never sees runs, only the flat
-    #: miss-filtered demand of the level above.
-    run_mode: str = "materialize"
-    #: Why ``run_mode`` was chosen: ``first_level`` /
-    #: ``miss_filtered`` / ``classifiers_attached``.
-    run_reason: str = "classifiers_attached"
+    #: first (the first level); ``demand`` — the level never sees runs,
+    #: only the flat miss-filtered demand of the level above.
+    run_mode: str
 
 
 @dataclass(frozen=True)
 class EngineSupport:
-    """Typed report of what :meth:`CacheHierarchy.run` will do.
+    """Typed report of how :meth:`CacheHierarchy.run` simulates.
 
-    Replaces the old boolean ``engine_eligible()``: ``eligible`` keeps
-    the single go/no-go bit (may the batched engine drive this run at
-    all), while ``levels`` says *how* each level will be simulated and
-    why — so tooling (``obs-report``, benchmarks, tests) can assert on
-    coverage instead of reverse-engineering it from isinstance checks.
+    ``levels`` says *how* each level will be simulated and why — so
+    tooling (``obs-report``, benchmarks, tests) can assert on coverage
+    instead of reverse-engineering it from isinstance checks. Attached
+    miss classifiers do not change it: they ride the same engine.
     """
 
-    #: Whether run() may use the batched engine at all. False only when
-    #: miss classifiers are attached: 3C classification consumes each
-    #: level's per-access miss mask in stream order, which the batched
-    #: engine never materializes.
-    eligible: bool
     levels: tuple[LevelSupport, ...]
 
     def level(self, name: str) -> LevelSupport:
@@ -158,23 +144,20 @@ class EngineSupport:
 def _level_support(lvl: CacheLevel, params: CacheParams,
                    idx: int) -> LevelSupport:
     """Classify one level for the engine's per-level path."""
-    run_mode, run_reason = (("demand", "miss_filtered") if idx
-                            else ("materialize", "first_level"))
     if isinstance(lvl, DirectMappedCache):
-        return LevelSupport(params.name, "per_level", "direct_mapped",
-                            run_mode, run_reason)
-    if isinstance(lvl, TwoWayCache):
-        return LevelSupport(params.name, "assoc_scan", "two_way_vectorized",
-                            run_mode, run_reason)
-    if isinstance(lvl, AssocScanCache):
+        mode, reason = "per_level", "direct_mapped"
+    elif isinstance(lvl, TwoWayCache):
+        mode, reason = "assoc_scan", "two_way_vectorized"
+    elif isinstance(lvl, AssocScanCache):
+        mode = "assoc_scan"
         reason = ("fully_associative" if params.num_sets == 1
                   else "set_associative")
-        return LevelSupport(params.name, "assoc_scan", reason,
-                            run_mode, run_reason)
-    # Anything else (e.g. a hand-built SetAssociativeCache) is driven
-    # per-chunk through its own access() — exact but scalar.
-    return LevelSupport(params.name, "legacy", "scalar_reference",
-                        run_mode, run_reason)
+    else:
+        # Anything else (e.g. a hand-built SetAssociativeCache) is driven
+        # window by window through its own access() — exact but scalar.
+        mode, reason = "legacy", "scalar_reference"
+    return LevelSupport(params.name, mode, reason,
+                        "demand" if idx else "materialize")
 
 
 class CacheHierarchy:
@@ -194,7 +177,7 @@ class CacheHierarchy:
             raise ConfigurationError("hierarchy needs at least one level")
         self.params = list(levels)
         self.write_policy = write_policy
-        self._levels: list[CacheLevel] = [build_level(p) for p in levels]
+        self._levels: list[CacheLevel] = [build_simulator(p) for p in levels]
         # Statistics carried over from invalidated level instances, so a
         # mid-stream invalidate never loses counts (see module docstring).
         self._carry: list[CacheStats] = [CacheStats() for _ in levels]
@@ -250,8 +233,10 @@ class CacheHierarchy:
 
         Each :class:`~repro.cache.classify.MissClassifier` observes
         exactly the access stream its level sees (demand-miss filtered)
-        and the level's miss mask, so classified totals match
-        ``CacheStats.misses`` per level.
+        and the level's miss mask, in program order, whether the stream
+        arrives through :meth:`access` or through :meth:`run`'s batched
+        engine — so classified totals match ``CacheStats.misses`` per
+        level.
         """
         if len(classifiers) != len(self._levels):
             raise ConfigurationError(
@@ -340,13 +325,7 @@ class CacheHierarchy:
         See :class:`EngineSupport`. The classification mirrors the
         simulator dispatch in :class:`~repro.cache.engine.HierarchyEngine`.
         """
-        if any(c is not None for c in self._classifiers):
-            levels = tuple(
-                LevelSupport(p.name, "legacy", "classifiers_attached")
-                for p in self.params)
-            return EngineSupport(eligible=False, levels=levels)
         return EngineSupport(
-            eligible=True,
             levels=tuple(_level_support(lvl, p, idx)
                          for idx, (lvl, p)
                          in enumerate(zip(self._levels, self.params))))
@@ -354,67 +333,48 @@ class CacheHierarchy:
     def run(self, chunks, on_chunk=None) -> HierarchyStats:
         """Consume an iterable of chunks and return the statistics.
 
-        Each chunk is a :class:`~repro.trace.generator.TraceChunk`, an
-        ``(addresses, is_write)`` pair, or a plain address array. The
-        trace is consumed incrementally, so peak memory stays O(chunk
-        buffer), never O(trace). ``on_chunk(addresses)`` (optional)
-        fires before each chunk is consumed; the experiment runner uses
-        it for budget deadlines and fault-injection ticks without
-        breaking the streaming structure.
+        Each chunk is a :class:`~repro.trace.generator.TraceChunk`, a
+        :class:`~repro.trace.runs.RunChunk`, or a plain array of read
+        addresses. The trace is consumed incrementally, so peak memory
+        stays O(chunk buffer), never O(trace). ``on_chunk(chunk)``
+        (optional) fires before each chunk is consumed (``len(chunk)``
+        is its address count); the experiment runner uses it for budget
+        deadlines and fault-injection ticks without breaking the
+        streaming structure.
 
-        Unless miss classifiers are attached, chunks are driven through
-        the batched :class:`~repro.cache.engine.HierarchyEngine`
-        (identical statistics, far fewer passes).
+        Chunks are driven through the batched
+        :class:`~repro.cache.engine.HierarchyEngine` (identical
+        statistics to per-chunk :meth:`access`, far fewer passes);
+        attached miss classifiers observe each level's windows in
+        program order from inside the engine.
         """
-        support = self.engine_support()
-        for ls in support.levels:
+        for ls in self.engine_support().levels:
             metrics.inc("repro.cache.engine_level_mode",
                         level=ls.name, mode=ls.mode)
-        if not support.eligible:
-            metrics.inc("repro.cache.engine_runs", mode="legacy")
-            for chunk in chunks:
-                if isinstance(chunk, RunChunk):
-                    chunk = chunk.materialize()
-                if isinstance(chunk, TraceChunk):
-                    addrs, w = chunk.pair()
-                elif isinstance(chunk, tuple):
-                    addrs, w = chunk
-                else:
-                    addrs, w = chunk, None
-                if on_chunk is not None:
-                    on_chunk(addrs)
-                self.access(addrs, w)
-            return self.stats()
-
-        engine = HierarchyEngine(self._levels, self.params)
-        metrics.inc("repro.cache.engine_runs", mode="per_level")
+        engine = HierarchyEngine(self._levels, self.params,
+                                 self._classifiers)
         around = self.write_policy is WritePolicy.WRITE_AROUND
         self._engine = engine
         try:
             for chunk in chunks:
+                if on_chunk is not None:
+                    on_chunk(chunk)
                 if isinstance(chunk, RunChunk):
-                    if on_chunk is not None:
-                        on_chunk(chunk)
                     self.reads += chunk.reads
                     self.writes += chunk.writes
                     engine.feed_runs(
                         chunk.read_bases if around else chunk.bases,
                         chunk.strides, chunk.counts)
                 elif isinstance(chunk, TraceChunk):
-                    if on_chunk is not None:
-                        on_chunk(chunk.addresses)
                     self.reads += chunk.reads
                     self.writes += chunk.writes
                     engine.feed(chunk.read_addresses if around
                                 else chunk.addresses)
+                elif isinstance(chunk, tuple):
+                    raise TypeError("trace chunks are TraceChunk, RunChunk "
+                                    "or read-address arrays, not tuples")
                 else:
-                    if isinstance(chunk, tuple):
-                        addrs, w = chunk
-                    else:
-                        addrs, w = chunk, None
-                    if on_chunk is not None:
-                        on_chunk(addrs)
-                    engine.feed(self._cacheable(addrs, w))
+                    engine.feed(self._cacheable(chunk, None))
             engine.flush()
         finally:
             self._engine = None

@@ -8,7 +8,8 @@ Resolution control: full paper-density sweeps simulate billions of
 references; by default the harness uses a coarse N grid and a shallower
 K extent, which preserves every qualitative shape (miss rates reach
 steady state within a few planes). Set ``REPRO_FULL=1`` for
-paper-density runs.
+paper-density runs. The environment only chooses *defaults*: an
+explicitly passed ``nk`` is always kept.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ def default_sizes(lo: int = 200, hi: int = 400,
     return list(range(lo, hi + 1, step))
 
 
+def _default_nk() -> int:
+    """K extent when none is passed: the paper's 30 under ``REPRO_FULL``,
+    else 11 — ~3x cheaper, same per-plane steady state, and odd so that
+    GcdPad's 512-mod-2048 planes never alias multi-array bases exactly
+    (an even DK would: 512*12 = 0 mod 2048)."""
+    return 30 if full_resolution() else 11
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything :func:`repro.experiments.runner.run_point` needs."""
@@ -44,7 +53,7 @@ class ExperimentConfig:
     l2: CacheParams = ULTRASPARC2_L2
     machine: MachineModel = ULTRASPARC2_360
     elem_bytes: int = 8
-    nk: int = 30
+    nk: int = field(default_factory=_default_nk)
     #: Count write references in miss-rate denominators (the trace always
     #: carries them; write-around keeps them out of the caches).
     include_writes: bool = True
@@ -52,17 +61,6 @@ class ExperimentConfig:
     #: (off by default: the paper's RESID experiments *tolerate*
     #: cross-interference; see the ablation bench).
     inter_pad: bool = False
-
-    def __post_init__(self) -> None:
-        if full_resolution():
-            return
-        # Coarse default: a shallower K extent cuts simulation cost ~3x
-        # while leaving per-plane steady-state behaviour intact. 11 (odd)
-        # keeps multi-array base distances benign, like the paper's
-        # DK=30 does: for GcdPad geometries the plane is 512 mod 2048,
-        # so an even DK would alias U and V bases exactly (512*12 = 0
-        # mod 2048) — an accident of depth, not a property of padding.
-        object.__setattr__(self, "nk", min(self.nk, 11))
 
     @property
     def cs(self) -> int:

@@ -84,7 +84,7 @@ def _ineligibility(sel, hier: CacheHierarchy, specs) -> str | None:
     """The precondition that rules this point out, or ``None``."""
     if sel.tiled:
         return "tiled_schedule"
-    if not hier.engine_support().eligible:
+    if any(c is not None for c in hier.classifiers):
         # Miss classifiers must observe every access; skipped planes
         # would leave the shadow caches stale (see module docstring).
         return "classifiers"
@@ -165,7 +165,7 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
     reason = _ineligibility(sel, hier, specs)
     if reason is not None:
         stats = hier.run(kern.trace(sel, schedule, inter_pad_cache=inter_pad,
-                                    chunk_size=chunk_size, structured=True),
+                                    chunk_size=chunk_size),
                          on_chunk=on_chunk)
         return stats, ExtrapolationReport(
             fired=False, planes_simulated=-1, planes_skipped=0,
@@ -178,7 +178,7 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
 
     def simulate_plane(chunk) -> None:
         hier.run(trace_chunks(iter([chunk]), refs,
-                              max_addresses=chunk_size, structured=True),
+                              max_addresses=chunk_size),
                  on_chunk=on_chunk)
 
     def snapshot_tags() -> list[np.ndarray]:

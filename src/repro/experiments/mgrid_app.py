@@ -82,10 +82,7 @@ def _resid_sim(n: int, strategy: str, cfg: ExperimentConfig
     sel = select(strategy, cfg.cs, n, n, mi=kern.meta.mi, mj=kern.meta.mj,
                  atd=kern.meta.atd)
     schedule = Schedule.TILED if sel.tiled else Schedule.UNTILED
-    hier = CacheHierarchy(cfg.levels)
-    for addrs, w in kern.trace(sel, schedule):
-        hier.access(addrs, w)
-    st = hier.stats()
+    st = CacheHierarchy(cfg.levels).run(kern.trace(sel, schedule))
     tile = sel.tile.as_tuple() if sel.tile else (0, 0)
     return (st.misses(0), st.misses(1), st.demand_refs,
             tile, (sel.di_p, sel.dj_p))

@@ -201,10 +201,9 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
 
     ``trace_form`` selects the trace representation (statistics are
     bit-for-bit identical across forms): ``"auto"`` resolves to the
-    run-compressed form except where a consumer needs materialized
-    chunks anyway — the extrapolation path replays flat per-plane
-    chunks, and attached miss classifiers force the legacy per-chunk
-    loop, which would just re-expand every run.
+    run-compressed form except for the extrapolation path, which
+    replays flat per-plane chunks. Attached miss classifiers ride the
+    same batched engine, so they never change the trace form.
     """
     faults.tick("simulate")
     kern = _kernel_cls(kernel_name)(n, cfg.nk, elem_bytes=cfg.elem_bytes)
@@ -216,11 +215,9 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
                 if budget is not None and budget.bounded else None)
     hier = CacheHierarchy(cfg.levels)
     inter_pad = cfg.cs if cfg.inter_pad else None
-    classify = metrics.enabled() and not extrapolate
-    form = trace_form
-    if form == "auto":
-        form = "flat" if (extrapolate or classify) else "runs"
-    if classify:
+    form = trace_form if trace_form != "auto" else (
+        "flat" if extrapolate else "runs")
+    if metrics.enabled() and not extrapolate:
         # Shadow-LRU miss classification is a Python-loop cost, so it is
         # attached only when a registry is collecting (``--metrics``).
         specs = kern.specs(sel.di_p, sel.dj_p, inter_pad_cache=inter_pad)
@@ -229,10 +226,10 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
         hier.attach_classifiers(
             [MissClassifier(p, ranges) for p in cfg.levels])
 
-    def on_chunk(addrs) -> None:
+    def on_chunk(chunk) -> None:
         faults.tick("chunk")
         if deadline is not None:
-            deadline.check(len(addrs))
+            deadline.check(len(chunk))
 
     extrapolated = False
     t0 = time.perf_counter()
@@ -261,8 +258,7 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
         else:
             stats = hier.run(
                 kern.trace(sel, schedule, inter_pad_cache=inter_pad,
-                           chunk_size=chunk_size, structured=True,
-                           trace_form=form),
+                           chunk_size=chunk_size, trace_form=form),
                 on_chunk=on_chunk)
         sp["refs"] = stats.demand_refs
     if metrics.enabled():

@@ -71,10 +71,10 @@ def trailing_ref_hit_rate(kernel, cache,
     hits = 0
     total = 0
     nreads = _refs_per_iter(kernel) - 1  # one write per iteration
-    for addrs, w in tr:
+    for chunk in tr:
         # Write-around (the paper's assumption): the write to A never
         # enters the cache, so only read references are simulated.
-        miss = cache.access(addrs[~w])
+        miss = cache.access(chunk.read_addresses)
         lane = miss.reshape(-1, nreads)[:, trailing_index]
         hits += int((~lane).sum())
         total += lane.size

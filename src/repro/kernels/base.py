@@ -123,7 +123,7 @@ class StencilKernel(abc.ABC):
               schedule: Schedule | None = None,
               inter_pad_cache: int | None = None,
               chunk_size: int | None = None,
-              structured: bool = False,
+              structured: bool = True,
               trace_form: str = "flat"
               ) -> Iterator:
         """Reference trace for a tile-selection result.
@@ -135,12 +135,11 @@ class StencilKernel(abc.ABC):
         per yielded chunk (``None`` = the generator's default bound,
         ``0`` = unbounded / monolithic per schedule chunk); it affects
         memory and batching only, never the reference stream itself.
-        With ``structured=True`` chunks are
-        :class:`~repro.trace.generator.TraceChunk` objects instead of
-        ``(addresses, is_write)`` pairs; ``trace_form="runs"``
-        additionally compresses affine chunks into
+        Chunks are :class:`~repro.trace.generator.TraceChunk` objects;
+        ``trace_form="runs"`` compresses affine chunks into
         :class:`~repro.trace.runs.RunChunk` objects (same stream,
-        bit-for-bit).
+        bit-for-bit). ``structured`` is ignored: it is still accepted
+        only because ``paperbench/make_expected.py`` passes it.
         """
         from repro.trace.generator import trace_chunks
 
@@ -157,7 +156,6 @@ class StencilKernel(abc.ABC):
         chunks = self.iter_chunks(schedule, ti=ti, tj=tj, tk=tk)
         return trace_chunks(chunks, self.refs(specs),
                             max_addresses=chunk_size,
-                            structured=structured,
                             form=trace_form)
 
     # ------------------------------------------------------------------

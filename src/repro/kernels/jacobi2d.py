@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.ir.stencil import JACOBI_2D
 from repro.layout.array import ArraySpec, allocate
-from repro.trace.generator import Ref
+from repro.trace.generator import Ref, TraceChunk, trace_chunks
 
 __all__ = ["Jacobi2D"]
 
@@ -56,9 +56,7 @@ class Jacobi2D:
         for j in range(2, self.m):
             yield i, np.full(i.size, j, dtype=np.int64), k
 
-    def trace(self, di_p: int | None = None):
-        from repro.trace.generator import trace_chunks
-
+    def trace(self, di_p: int | None = None) -> Iterator[TraceChunk]:
         return trace_chunks(self.iter_chunks(), self.refs(self.specs(di_p)))
 
     def interior_points(self) -> int:

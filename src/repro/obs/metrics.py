@@ -46,8 +46,10 @@ name                                   type        labels
 ``repro.perf.point_cache_misses``      counter     —
 ``repro.perf.point_cache_puts``        counter     —
 ``repro.perf.point_cache_evictions``   counter     —
-``repro.cache.engine_runs``            counter     ``mode`` in per_level|
-                                                   legacy
+``repro.cache.engine_level_mode``      counter     ``level``; ``mode`` in
+                                                   per_level|assoc_scan|
+                                                   legacy (one per level
+                                                   per ``run()``)
 ``repro.cache.batches``                counter     —
 ``repro.cache.partition``              counter     ``strategy``: argsort
 ``repro.cache.extrapolation``          counter     ``outcome`` in fired|

@@ -107,8 +107,6 @@ class RunSummary:
     extrapolation_fired: int = 0
     extrapolation_fallback: int = 0
     extrapolation_planes_skipped: int = 0
-    #: batched-engine activity from the metrics snapshot: mode -> runs.
-    engine_runs: dict[str, int] = field(default_factory=dict)
     #: per-level engine coverage: level name -> {mode: runs}, from the
     #: ``repro.cache.engine_level_mode`` counter (the metrics face of
     #: ``CacheHierarchy.engine_support()``).
@@ -220,11 +218,7 @@ def summarize(events: list[dict], metrics: dict | None = None,
         for row in metrics.get("counters", []):
             labels = row.get("labels", {})
             name = row.get("name")
-            if name == "repro.cache.engine_runs":
-                mode = labels.get("mode", "?")
-                s.engine_runs[mode] = (s.engine_runs.get(mode, 0)
-                                       + int(row.get("value", 0)))
-            elif name == "repro.cache.partition":
+            if name == "repro.cache.partition":
                 strat = labels.get("strategy", "?")
                 s.partitions[strat] = (s.partitions.get(strat, 0)
                                        + int(row.get("value", 0)))
@@ -288,14 +282,10 @@ def format_report(s: RunSummary) -> str:
             f"integrity: {s.crc_failures} checksum failures, "
             f"{s.integrity_quarantined} artifacts quarantined "
             f"(inspect .quarantine/, then `repro fsck`)")
-    if s.engine_runs or s.partitions:
-        runs = ", ".join(f"{n} {m}" for m, n in sorted(s.engine_runs.items()))
+    if s.partitions:
         parts_str = ", ".join(f"{n} {strat}"
                               for strat, n in sorted(s.partitions.items()))
-        line = f"cache engine: runs [{runs or 'none'}]"
-        if parts_str:
-            line += f", partitions [{parts_str}]"
-        parts.append(line)
+        parts.append(f"cache engine: partitions [{parts_str}]")
     if s.engine_levels:
         per = "; ".join(
             f"{lvl} [" + ", ".join(f"{n} {m}"

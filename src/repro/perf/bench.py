@@ -99,7 +99,7 @@ def _point_pipeline(kernel: str, strategy: str, n: int, cfg,
 
     def chunks():
         return kern.trace(sel, schedule, inter_pad_cache=inter_pad,
-                          structured=True, trace_form=trace_form)
+                          trace_form=trace_form)
 
     counted = {"addresses": 0, "stored": 0}
 
@@ -263,8 +263,7 @@ def bench_assoc_speedup(kernel: str = "JACOBI", strategy: str = "Orig",
     inter_pad = cfg.cs if cfg.inter_pad else None
     chunks = [chunk.addresses.copy()
               for chunk in kern.trace(sel, schedule,
-                                      inter_pad_cache=inter_pad,
-                                      structured=True)]
+                                      inter_pad_cache=inter_pad)]
     addresses = sum(int(c.size) for c in chunks)
 
     def fast():

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, TraceError
 from repro.layout.array import ArraySpec, allocate
-from repro.trace.generator import Ref
+from repro.trace.generator import Ref, TraceChunk, trace_chunks
 
 __all__ = ["SkewedSchedule", "skewed_trace", "run_reference", "run_skewed"]
 
@@ -103,10 +103,8 @@ def _jacobi_refs(src: ArraySpec, dst: ArraySpec) -> list[Ref]:
 
 def skewed_trace(sched: SkewedSchedule, elem_bytes: int = 8,
                  specs: dict[str, ArraySpec] | None = None
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                 ) -> Iterator[TraceChunk]:
     """Byte-address trace of the skewed schedule, in program order."""
-    from repro.trace.generator import trace_chunks
-
     if specs is None:
         specs = allocate([("B", sched.n, sched.m, 1),
                           ("A", sched.n, sched.m, 1)],
@@ -124,10 +122,8 @@ def skewed_trace(sched: SkewedSchedule, elem_bytes: int = 8,
 
 
 def untiled_trace(sched: SkewedSchedule, elem_bytes: int = 8
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                  ) -> Iterator[TraceChunk]:
     """Baseline: ``tsteps`` plain full sweeps (no time reuse)."""
-    from repro.trace.generator import trace_chunks
-
     specs = allocate([("B", sched.n, sched.m, 1),
                       ("A", sched.n, sched.m, 1)], elem_bytes=elem_bytes)
     b, a = specs["B"], specs["A"]

@@ -95,6 +95,9 @@ class TraceChunk:
         """Addresses in this chunk (form-agnostic; see ``RunChunk``)."""
         return self.matrix.size
 
+    def __len__(self) -> int:
+        return self.matrix.size
+
     @property
     def reads(self) -> int:
         """Read accesses in this chunk."""
@@ -133,10 +136,6 @@ class TraceChunk:
             return self.matrix[:, :nr].reshape(-1)
         return self.matrix[:, ~self.wmask_row].reshape(-1)
 
-    def pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """The legacy ``(addresses, is_write)`` chunk form."""
-        return self.addresses, self.write_mask
-
 
 def _refs_by_spec(refs: list[Ref]) -> list[tuple[ArraySpec, list]]:
     """Group references by array, precomputing per-ref byte offsets.
@@ -172,21 +171,19 @@ TRACE_FORMS = ("flat", "runs")
 
 def trace_chunks(iter_chunks, refs: list[Ref],
                  max_addresses: int | None = None,
-                 structured: bool = False,
                  form: str = "flat",
                  ) -> Iterator:
     """Yield program-ordered trace chunks.
 
     ``iter_chunks`` yields 1-based ``(I, J, K)`` coordinate arrays (see
-    :mod:`repro.trace.enumerators`); each output chunk interleaves the
-    per-iteration references. By default chunks are the legacy
-    ``(byte_addresses, is_write)`` pairs; with ``structured=True`` they
-    are :class:`TraceChunk` objects carrying the same stream in matrix
-    form (the hierarchy engine consumes those without materializing
-    per-address write masks).
+    :mod:`repro.trace.enumerators`); each output chunk is a
+    :class:`TraceChunk` interleaving the per-iteration references
+    (``.addresses``/``.write_mask`` give the flat stream; the hierarchy
+    engine reads ``.read_addresses`` without materializing per-address
+    write masks).
 
-    ``form="runs"`` (requires ``structured=True``) compresses each
-    chunk into a :class:`~repro.trace.runs.RunChunk` of per-reference
+    ``form="runs"`` compresses each chunk into a
+    :class:`~repro.trace.runs.RunChunk` of per-reference
     ``(base, stride, count)`` runs when its iteration pattern is affine
     enough (see :mod:`repro.trace.runs`), falling back to a
     materialized :class:`TraceChunk` otherwise — consumers see a mix of
@@ -207,8 +204,6 @@ def trace_chunks(iter_chunks, refs: list[Ref],
     if form not in TRACE_FORMS:
         raise TraceError(
             f"unknown trace form {form!r}; valid: {TRACE_FORMS}")
-    if form == "runs" and not structured:
-        raise TraceError("form='runs' requires structured=True")
     nrefs = len(refs)
     wmask_row = np.array([r.is_write for r in refs], dtype=bool)
     groups = _refs_by_spec(refs)
@@ -252,5 +247,4 @@ def trace_chunks(iter_chunks, refs: list[Ref],
                 base *= spec.elem_bytes
                 for col, const in cols:
                     np.add(base, const, out=matrix[s:e, col])
-        chunk = TraceChunk(matrix, wmask_row)
-        yield chunk if structured else chunk.pair()
+        yield TraceChunk(matrix, wmask_row)

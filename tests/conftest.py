@@ -1,4 +1,4 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures for the test suite (helpers: ``tests/helpers.py``)."""
 
 from __future__ import annotations
 
@@ -33,13 +33,3 @@ def tiny_config(tiny_l1, tiny_l2) -> ExperimentConfig:
     return ExperimentConfig(l1=tiny_l1, l2=tiny_l2,
                             machine=ULTRASPARC2_360, nk=8)
 
-
-def collect_trace(chunks) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize a chunked (addresses, is_write) trace."""
-    addrs, writes = [], []
-    for a, w in chunks:
-        addrs.append(np.asarray(a))
-        writes.append(np.asarray(w))
-    if not addrs:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    return np.concatenate(addrs), np.concatenate(writes)

@@ -6,11 +6,11 @@ import numpy as np
 
 
 def collect_trace(chunks) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize a chunked (addresses, is_write) trace."""
+    """Flatten a chunked trace into (addresses, is_write) arrays."""
     addrs, writes = [], []
-    for a, w in chunks:
-        addrs.append(np.asarray(a))
-        writes.append(np.asarray(w))
+    for c in chunks:
+        addrs.append(c.addresses)
+        writes.append(c.write_mask)
     if not addrs:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
     return np.concatenate(addrs), np.concatenate(writes)

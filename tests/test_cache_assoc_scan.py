@@ -165,8 +165,9 @@ class TestAgainstScalar:
         sel = SelectionResult(strategy="Orig", tile=None, di_p=40, dj_p=40)
         p = CacheParams(size_bytes=4096, line_bytes=32, assoc=4)
         sc, sa = AssocScanCache(p), SetAssociativeCache(p)
-        for addrs, w in kern.trace(sel):
-            assert np.array_equal(sc.access(addrs[~w]), sa.access(addrs[~w]))
+        for c in kern.trace(sel):
+            assert np.array_equal(sc.access(c.read_addresses),
+                                  sa.access(c.read_addresses))
 
 
 class TestGroupedContract:
@@ -213,7 +214,6 @@ class TestEngineSupport:
 
     def test_equal_line_sizes_take_per_level_mode(self):
         support = CacheHierarchy([self.L1, self.L2]).engine_support()
-        assert support.eligible
         assert [ls.mode for ls in support.levels] == ["per_level"] * 2
         assert support.level("L1").reason == "direct_mapped"
 
@@ -223,7 +223,6 @@ class TestEngineSupport:
                   CacheParams(16 * 1024, 16, 4, "L3.4w"),
                   tlb_params(8)]
         support = CacheHierarchy(levels).engine_support()
-        assert support.eligible
         assert support.level("L1").mode == "per_level"
         assert support.level("L1").reason == "direct_mapped"
         assert support.level("L2.2w").mode == "assoc_scan"
@@ -235,41 +234,55 @@ class TestEngineSupport:
         with pytest.raises(KeyError):
             support.level("L9")
 
-    def test_classifiers_force_legacy(self):
+    def test_classifiers_keep_engine_routing(self):
+        """Attached classifiers ride the engine: routes are unchanged and
+        run() records the per_level/assoc_scan modes, never legacy."""
         from repro.cache.classify import MissClassifier
+        from repro.obs import metrics
 
-        hier = CacheHierarchy([self.L1, self.L2])
-        hier.attach_classifiers([MissClassifier(self.L1), None])
-        support = hier.engine_support()
-        assert not support.eligible
-        assert all(ls.mode == "legacy" and
-                   ls.reason == "classifiers_attached"
-                   for ls in support.levels)
-        assert all(ls.run_mode == "materialize" and
-                   ls.run_reason == "classifiers_attached"
-                   for ls in support.levels)
+        levels = [self.L1, CacheParams(16 * 1024, 32, 4, "L2.4w")]
+        plain = CacheHierarchy(levels)
+        hier = CacheHierarchy(levels)
+        classifiers = [MissClassifier(p) for p in levels]
+        hier.attach_classifiers(classifiers)
+        assert hier.engine_support() == plain.engine_support()
+        assert [ls.mode for ls in hier.engine_support().levels] == \
+            ["per_level", "assoc_scan"]
+
+        addrs = mixed_trace(np.random.default_rng(5), 20_000, 32, 2000)
+        with metrics.collect() as reg:
+            stats = hier.run(iter(np.array_split(addrs, 3)))
+        modes = {(r["labels"]["level"], r["labels"]["mode"])
+                 for r in reg.snapshot()["counters"]
+                 if r["name"] == "repro.cache.engine_level_mode"}
+        assert modes == {("L1", "per_level"), ("L2.4w", "assoc_scan")}
+        for (_, st), cls in zip(stats.levels, classifiers):
+            assert st.misses > 0 and cls.total == st.misses
 
     def test_engine_eligible_shim_removed(self):
         """The deprecated ``engine_eligible()`` shim is gone for good."""
         hier = CacheHierarchy([self.L1, self.L2])
         assert not hasattr(hier, "engine_eligible")
         assert not hasattr(CacheHierarchy, "engine_eligible")
+        # Nor is there a go/no-go bit or a run_mode echo left to consult.
+        support = hier.engine_support()
+        assert not hasattr(support, "eligible")
+        assert not hasattr(support.levels[0], "run_reason")
 
     def test_run_support_modes_and_reasons(self):
         support = CacheHierarchy([self.L1, self.L2]).engine_support()
         l1 = support.level("L1")
-        assert (l1.run_mode, l1.run_reason) == ("materialize", "first_level")
+        assert l1.run_mode == "materialize"
         # Deeper levels see the demand stream of the level above, never
         # the runs themselves.
         l2 = support.level("L2")
-        assert (l2.run_mode, l2.run_reason) == ("demand", "miss_filtered")
+        assert l2.run_mode == "demand"
 
         # Every first-level simulator expands runs the same way.
         for assoc in (2, 4):
             hier = CacheHierarchy([CacheParams(4 * 1024, 16, assoc, "L1")])
-            ls = hier.engine_support().level("L1")
-            assert (ls.run_mode, ls.run_reason) == ("materialize",
-                                                    "first_level")
+            assert hier.engine_support().level("L1").run_mode == \
+                "materialize"
 
     @pytest.mark.parametrize("assoc", (4, 64))
     def test_hierarchy_run_matches_scalar_with_assoc_level(self, assoc):

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.cache.assoc_scan import AssocScanCache
 from repro.cache.classify import MISS_CLASSES, MissClassifier
+from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.params import CacheParams
+from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.two_way import TwoWayCache
+from repro.core.selector import select
 from repro.errors import ConfigurationError
+from repro.kernels import KERNELS
+from repro.trace.runs import RunChunk
 
 
 def tiny_params(size_bytes=256, line_bytes=16, assoc=1, name="L1"):
@@ -82,9 +89,7 @@ class TestKernelIdentity:
         classifiers = [MissClassifier(p, ranges)
                        for p in tiny_config.levels]
         h.attach_classifiers(classifiers)
-        for addrs, w in kern.trace(sel):
-            h.access(addrs, w)
-        stats = h.stats()
+        stats = h.run(kern.trace(sel, trace_form="runs"))
         for (name, st), cls in zip(stats.levels, classifiers):
             assert cls.total == st.misses, name
             # Every miss address falls inside some kernel array.
@@ -143,3 +148,103 @@ class TestArrayAttribution:
         cls.classify(np.array([0, 4096]), np.array([True, True]))
         assert cls.by_array == {"A": 1}
         assert cls.total == 2  # classification itself still counts both
+
+
+# ----------------------------------------------------------------------
+# Classifiers fed by run()'s batched engine vs per-chunk access()
+# ----------------------------------------------------------------------
+
+L2 = CacheParams(64 * 1024, 64, 1, "L2")
+#: name -> (L1 params, simulator class run() must drive the L1 with).
+L1_GEOMETRIES = {
+    "direct_mapped": (CacheParams(2048, 32, 1, "L1"), DirectMappedCache),
+    "two_way": (CacheParams(2048, 32, 2, "L1"), TwoWayCache),
+    "four_way": (CacheParams(2048, 32, 4, "L1"), AssocScanCache),
+    "scalar_reference": (CacheParams(2048, 32, 4, "L1"),
+                         SetAssociativeCache),
+}
+
+
+def _point(kernel="JACOBI", strategy="Orig", n=80, nk=5):
+    """A kernel point big enough for run chunks and several engine
+    windows; N=80 makes the plane a multiple of the 2 KB L1, so the
+    direct-mapped L1 sees conflict misses as well as capacity ones."""
+    kern = KERNELS[kernel](n, nk)
+    meta = kern.meta
+    sel = select(strategy, 256, n, n, mi=meta.mi, mj=meta.mj, atd=meta.atd)
+    specs = kern.specs(sel.di_p, sel.dj_p)
+    ranges = [(s.name, s.base * s.elem_bytes, s.end * s.elem_bytes)
+              for s in specs.values()]
+    return kern, sel, ranges
+
+
+def _classified(geometry, ranges):
+    """A two-level hierarchy (hand-built L1 where asked) + classifiers."""
+    l1, sim = L1_GEOMETRIES[geometry]
+    hier = CacheHierarchy([l1, L2])
+    if not isinstance(hier.levels[0], sim):
+        hier.levels[0] = sim(l1)
+    classifiers = [MissClassifier(p, ranges) for p in (l1, L2)]
+    hier.attach_classifiers(classifiers)
+    return hier, classifiers
+
+
+def _outcome(hier, classifiers):
+    stats = hier.stats()
+    return ([(st.accesses, st.misses) for _, st in stats.levels],
+            [(cls.counts, cls.by_array) for cls in classifiers])
+
+
+def _reference(geometry, chunks, ranges, invalidate_at=()):
+    """Classification through the per-chunk access() loop."""
+    hier, classifiers = _classified(geometry, ranges)
+    for idx, chunk in enumerate(chunks):
+        if idx in invalidate_at:
+            hier.invalidate()
+        hier.access(chunk.addresses, chunk.write_mask)
+    return _outcome(hier, classifiers)
+
+
+class TestEngineClassification:
+    """3C and per-array counts are bit-identical whether the classifiers
+    are fed from run()'s batched engine or from per-chunk access()."""
+
+    @pytest.mark.parametrize("geometry", L1_GEOMETRIES)
+    @pytest.mark.parametrize("form", ["flat", "runs"])
+    def test_run_matches_access(self, geometry, form):
+        kern, sel, ranges = _point()
+        expect = _reference(geometry, kern.trace(sel), ranges)
+        assert sum(expect[1][0][0].values()) == expect[0][0][1]
+        for chunk_size in (None, 50_000, 4099):
+            hier, classifiers = _classified(geometry, ranges)
+            chunks = list(kern.trace(sel, chunk_size=chunk_size,
+                                     trace_form=form))
+            if form == "runs" and chunk_size != 4099:
+                assert any(isinstance(c, RunChunk) for c in chunks)
+            hier.run(iter(chunks))
+            assert _outcome(hier, classifiers) == expect, chunk_size
+
+    @pytest.mark.parametrize("geometry", L1_GEOMETRIES)
+    def test_mid_stream_invalidate(self, geometry):
+        """An invalidate() during run() flushes the engine's buffered
+        windows into the classifiers before their shadows are cleared.
+
+        Chunks hold ~2600 reads: chunk 9 follows one full 16K-address
+        window and chunk 35 one full 64K associative-scan window, so at
+        both the shadows have history and the engine has a remainder
+        buffered."""
+        kern, sel, ranges = _point()
+        chunks = list(kern.trace(sel, chunk_size=3000))
+        at = {9, 35}
+        expect = _reference(geometry, chunks, ranges, invalidate_at=at)
+
+        hier, classifiers = _classified(geometry, ranges)
+        seen = []
+
+        def on_chunk(chunk):
+            if len(seen) in at:
+                hier.invalidate()
+            seen.append(chunk)
+
+        hier.run(iter(chunks), on_chunk=on_chunk)
+        assert _outcome(hier, classifiers) == expect

@@ -1,7 +1,7 @@
 """Differential tests of the batched hierarchy engine.
 
 The engine's contract is *bit-for-bit* equality: whatever path a
-stream takes — legacy per-chunk ``access()`` loop or the batched
+stream takes — the per-chunk ``access()`` loop or the batched
 engine, any chunk split, any mid-stream ``invalidate()`` — the
 resulting :class:`HierarchyStats` must be identical, and identical to
 the scalar :class:`SetAssociativeCache` ground truth.
@@ -23,6 +23,7 @@ from repro.cache import (
     WritePolicy,
     partition,
 )
+from repro.trace.generator import TraceChunk
 
 # Geometry zoo: name -> level params. Small caches so random streams
 # actually collide; each exercises a distinct simulator pairing.
@@ -80,14 +81,19 @@ def mixed_stream(rng, n, line_bytes, span_lines):
 
 
 def random_chunks(rng, stream, with_writes):
-    """Split a stream at random boundaries into (addrs, wmask) chunks."""
+    """Split a stream at random boundaries into trace chunks.
+
+    Each chunk is a one-iteration :class:`TraceChunk` whose references
+    are the chunk's addresses, so its write flags may be arbitrary.
+    """
     cuts = np.sort(rng.integers(0, stream.size,
                                 size=int(rng.integers(2, 9))))
     chunks = []
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, stream.size]):
         addrs = stream[lo:hi]
-        w = (rng.random(addrs.size) < 0.25) if with_writes else None
-        chunks.append((addrs, w))
+        w = ((rng.random(addrs.size) < 0.25) if with_writes
+             else np.zeros(addrs.size, dtype=bool))
+        chunks.append(TraceChunk(addrs.reshape(1, -1), w))
     return chunks
 
 
@@ -95,17 +101,13 @@ def ground_truth(params, chunks, write_policy):
     """Scalar LRU reference: demand-filtered SetAssociativeCache stack."""
     sims = [SetAssociativeCache(p) for p in params]
     reads = writes = 0
-    for addrs, w in chunks:
-        addrs = np.asarray(addrs, dtype=np.int64)
-        if w is None:
-            reads += addrs.size
-            cur = addrs
-        else:
-            nw = int(np.count_nonzero(w))
-            writes += nw
-            reads += addrs.size - nw
-            cur = addrs[~w] if write_policy is WritePolicy.WRITE_AROUND \
-                else addrs
+    for chunk in chunks:
+        addrs, w = chunk.addresses, chunk.write_mask
+        nw = int(np.count_nonzero(w))
+        writes += nw
+        reads += addrs.size - nw
+        cur = addrs[~w] if write_policy is WritePolicy.WRITE_AROUND \
+            else addrs
         for sim in sims:
             if cur.size == 0:
                 break
@@ -155,8 +157,8 @@ def test_engine_matches_legacy_access_loop(geometry):
     engine_stats = engine_hier.run(iter(chunks))
 
     legacy_hier = CacheHierarchy(list(params))
-    for addrs, w in chunks:
-        legacy_hier.access(addrs, w)
+    for chunk in chunks:
+        legacy_hier.access(chunk.addresses, chunk.write_mask)
     assert_same_stats(engine_stats, legacy_hier.stats())
 
 
@@ -247,7 +249,7 @@ def test_chunk_split_invariance():
     stream = mixed_stream(rng, 2 * BATCH_TARGET + 137,
                           params[0].line_bytes, 3000)
 
-    whole = CacheHierarchy(list(params)).run(iter([(stream, None)]))
+    whole = CacheHierarchy(list(params)).run(iter([stream]))
     for seed in range(3):
         srng = np.random.default_rng(seed)
         chunks = random_chunks(srng, stream, with_writes=False)
@@ -262,9 +264,9 @@ def _check_mid_stream_invalidate(geometry, seed):
     b = mixed_stream(rng, BATCH_TARGET + 43, params[0].line_bytes, 2000)
 
     hier = CacheHierarchy(list(params))
-    hier.run(iter([(a, None)]))
+    hier.run(iter([a]))
     hier.invalidate()
-    stats = hier.run(iter([(b, None)]))
+    stats = hier.run(iter([b]))
 
     sims = [SetAssociativeCache(p) for p in params]
     reads = 0

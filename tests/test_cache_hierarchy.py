@@ -83,10 +83,16 @@ class TestStats:
         assert st.global_miss_rate(0, include_writes=False) == pytest.approx(2 / 3)
 
     def test_run_consumes_mixed_chunks(self):
+        from repro.trace.generator import TraceChunk
+
         h = CacheHierarchy(levels())
         st = h.run([np.array([0, 16]),
-                    (np.array([0, 16]), np.array([False, True]))])
+                    TraceChunk(np.array([[0, 16]]),
+                               np.array([False, True]))])
         assert st.demand_refs == 4 and st.writes == 1
+        # The removed (addresses, is_write) tuple form fails loudly.
+        with pytest.raises(TypeError, match="tuples"):
+            h.run([(np.array([0, 16]), np.array([False, True]))])
 
     def test_summary_mentions_levels(self):
         h = CacheHierarchy(levels())

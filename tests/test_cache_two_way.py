@@ -84,15 +84,16 @@ class TestAgainstScalar:
         sel = SelectionResult(strategy="Orig", tile=None, di_p=40, dj_p=40)
         p = CacheParams(size_bytes=4096, line_bytes=32, assoc=2)
         tw, sa = TwoWayCache(p), SetAssociativeCache(p)
-        for addrs, w in kern.trace(sel):
-            assert np.array_equal(tw.access(addrs[~w]), sa.access(addrs[~w]))
+        for c in kern.trace(sel):
+            assert np.array_equal(tw.access(c.read_addresses),
+                                  sa.access(c.read_addresses))
 
 
 class TestHierarchyIntegration:
-    def test_build_level_picks_two_way(self):
-        from repro.cache.hierarchy import build_level
+    def test_build_simulator_picks_two_way(self):
+        from repro.cache.factory import build_simulator
 
-        lvl = build_level(params())
+        lvl = build_simulator(params())
         assert isinstance(lvl, TwoWayCache)
 
     def test_two_way_absorbs_direct_mapped_conflicts(self):

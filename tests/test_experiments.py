@@ -5,6 +5,8 @@ setup — direct-mapped, write-around, two levels, C_s a power of two —
 at 1/8 scale, so each simulated point takes milliseconds.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -159,9 +161,25 @@ class TestConfig:
     def test_cs(self, tiny_config):
         assert tiny_config.cs == 256
 
-    def test_nk_clamped_in_smoke_mode(self):
-        cfg = ExperimentConfig(nk=30)
-        assert cfg.nk <= 12
+    def test_explicit_nk_kept_without_full_resolution(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        assert ExperimentConfig(nk=30).nk == 30
+
+    def test_replace_keeps_explicit_nk(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        cfg = ExperimentConfig()
+        assert dataclasses.replace(cfg, nk=30).nk == 30
+        assert dataclasses.replace(cfg, inter_pad=True).nk == cfg.nk
+
+    @pytest.mark.parametrize("env,nk", [(None, 11), ("0", 11), ("1", 30)])
+    def test_environment_chooses_only_the_default(self, monkeypatch,
+                                                  env, nk):
+        if env is None:
+            monkeypatch.delenv("REPRO_FULL", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_FULL", env)
+        assert ExperimentConfig().nk == nk
+        assert ExperimentConfig(nk=5).nk == 5
 
 
 class TestReport:

@@ -50,7 +50,7 @@ def run_extrapolated(kernel, strategy, n, cfg=CFG):
 def run_full(kernel, strategy, n, cfg=CFG):
     kern, sel, schedule = point_setup(kernel, strategy, n, cfg)
     hier = CacheHierarchy(cfg.levels)
-    return hier.run(kern.trace(sel, schedule, structured=True))
+    return hier.run(kern.trace(sel, schedule))
 
 
 def assert_same_stats(a, b):

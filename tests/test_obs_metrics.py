@@ -186,6 +186,38 @@ class TestInstrumentationHooks:
         kern = KERNELS["JACOBI"](8, tiny_config.nk)
         sel = select("Orig", tiny_config.cs, 8, 8)
         with metrics.collect() as reg:
-            total = sum(a.size for a, _ in kern.trace(sel))
+            total = sum(c.addresses.size for c in kern.trace(sel))
         assert reg.counter_total("repro.trace.addresses") == total
         assert reg.counter_total("repro.trace.chunks") > 0
+
+    def test_run_point_unchanged_by_observation(self, tiny_config,
+                                                monkeypatch):
+        """Collecting metrics attaches the 3C classifiers but keeps the
+        point's trace form and engine: the same PointResult, and run
+        chunks are emitted with and without a registry."""
+        from repro.experiments.runner import clear_cache, run_point
+
+        emitted = []
+        inc = metrics.inc
+
+        def recording_inc(name, n=1, **labels):
+            emitted.append(name)
+            inc(name, n, **labels)
+
+        monkeypatch.setattr(metrics, "inc", recording_inc)
+        clear_cache()
+        try:
+            plain = run_point("JACOBI", "Orig", 72, tiny_config)
+            plain_runs = emitted.count("repro.trace.run_chunks")
+            emitted.clear()
+            clear_cache()
+            with metrics.collect() as reg:
+                observed = run_point("JACOBI", "Orig", 72, tiny_config)
+        finally:
+            clear_cache()
+        assert observed == plain
+        assert plain_runs > 0
+        assert emitted.count("repro.trace.run_chunks") == plain_runs
+        assert reg.counter_total("repro.trace.run_chunks") == plain_runs
+        assert reg.counter_total("repro.sim.miss_class") == \
+            reg.counter_total("repro.sim.misses") > 0

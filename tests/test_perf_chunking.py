@@ -89,18 +89,18 @@ class TestTraceStreamEquality:
             np.testing.assert_array_equal(w, mono[1])
 
     def test_chunk_size_bounds_addresses_per_chunk(self, tiny_config):
-        for addrs, writes in kernel_trace("JACOBI", "GcdPad", 24,
-                                          tiny_config, chunk_size=128):
-            assert addrs.size <= 128
-            assert addrs.size == writes.size
+        for chunk in kernel_trace("JACOBI", "GcdPad", 24,
+                                  tiny_config, chunk_size=128):
+            assert chunk.addresses.size <= 128
+            assert chunk.addresses.size == chunk.write_mask.size
 
     def test_default_bound_is_the_documented_constant(self, tiny_config):
         # The default path must engage the bound (not stream unbounded):
         # a tiny point never trips it, so check the wiring directly.
         assert DEFAULT_CHUNK_ADDRESSES == 1 << 20
-        for addrs, _ in kernel_trace("RESID", "GcdPad", 24, tiny_config,
-                                     chunk_size=None):
-            assert addrs.size <= DEFAULT_CHUNK_ADDRESSES
+        for chunk in kernel_trace("RESID", "GcdPad", 24, tiny_config,
+                                  chunk_size=None):
+            assert chunk.addresses.size <= DEFAULT_CHUNK_ADDRESSES
 
 
 class TestPointDifferential:

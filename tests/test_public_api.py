@@ -102,8 +102,8 @@ class TestCrossModuleConsistency:
             sel = repro.select("Pad", 256, 40, 40, mi=kern.meta.mi,
                                mj=kern.meta.mj, atd=kern.meta.atd)
             total = 0
-            for addrs, w in kern.trace(sel):
-                total += addrs.size
+            for c in kern.trace(sel):
+                total += c.addresses.size
             expected = (kern.meta.reads + kern.meta.writes) \
                 * kern.interior_points()
             assert total == expected, kernel_name

@@ -116,12 +116,9 @@ class TestCacheWin:
         n, m, ts = 64, 300, 6
         sel = select_skewed_tile(2048, n, m, ts)
         sched = SkewedSchedule(n, m, ts, sel.tj)
-        h1 = CacheHierarchy([ULTRASPARC2_L1, ULTRASPARC2_L2])
-        for a, w in untiled_trace(sched):
-            h1.access(a, w)
-        h2 = CacheHierarchy([ULTRASPARC2_L1, ULTRASPARC2_L2])
-        for a, w in skewed_trace(sched):
-            h2.access(a, w)
-        plain = h1.stats().global_miss_rate(0)
-        skewed = h2.stats().global_miss_rate(0)
+        levels = [ULTRASPARC2_L1, ULTRASPARC2_L2]
+        plain = CacheHierarchy(levels).run(
+            untiled_trace(sched)).global_miss_rate(0)
+        skewed = CacheHierarchy(levels).run(
+            skewed_trace(sched)).global_miss_rate(0)
         assert skewed < 0.6 * plain

@@ -63,8 +63,8 @@ class TestBehaviour:
         def tlb_miss_rate(sel):
             tlb = build_tlb(tlb_params(8, page_bytes=8192))
             total = misses = 0
-            for addrs, w in kern.trace(sel, Schedule.TILED):
-                m = tlb.access(addrs)
+            for c in kern.trace(sel, Schedule.TILED):
+                m = tlb.access(c.addresses)
                 misses += int(m.sum())
                 total += m.size
             return misses / total

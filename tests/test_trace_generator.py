@@ -35,7 +35,7 @@ class TestTraceChunks:
         refs = [Ref(specs["B"], -1, 0, 0), Ref(specs["B"], 1, 0, 0),
                 Ref(specs["A"], 0, 0, 0, is_write=True)]
         chunks = list(trace_chunks(untiled_3d(4, 4), refs))
-        addrs, w = chunks[0]
+        addrs, w = chunks[0].addresses, chunks[0].write_mask
         # First iteration is (I=2, J=2, K=2) 1-based -> (1,1,1) 0-based.
         b = specs["B"]
         a = specs["A"]
@@ -48,14 +48,15 @@ class TestTraceChunks:
         specs = allocate([("A", 5, 5, 5)])
         refs = [Ref(specs["A"], 0, 0, 0), Ref(specs["A"], 0, 0, 0,
                                               is_write=True)]
-        for addrs, w in trace_chunks(untiled_3d(5, 5), refs):
+        for chunk in trace_chunks(untiled_3d(5, 5), refs):
+            w = chunk.write_mask
             assert w.reshape(-1, 2)[:, 0].sum() == 0
             assert w.reshape(-1, 2)[:, 1].all()
 
     def test_byte_addresses_scale_with_elem_size(self):
         specs4 = allocate([("A", 4, 4, 4)], elem_bytes=4)
         refs = [Ref(specs4["A"], 0, 0, 0, is_write=True)]
-        addrs, _ = next(iter(trace_chunks(untiled_3d(4, 4), refs)))
+        addrs = next(iter(trace_chunks(untiled_3d(4, 4), refs))).addresses
         assert addrs[0] == specs4["A"].addr(1, 1, 1) * 4
 
     def test_requires_refs(self):

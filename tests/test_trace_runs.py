@@ -51,7 +51,7 @@ def _kernel_chunks(kernel, strategy, n, nk, form):
     sel = select(strategy, 16384, n, n,
                  mi=k.meta.mi, mj=k.meta.mj, atd=k.meta.atd)
     sched = _schedule_for(strategy, kernel, sel)
-    return k.trace(sel, schedule=sched, structured=True, trace_form=form)
+    return k.trace(sel, schedule=sched, trace_form=form)
 
 
 def _run_stats(kernel, strategy, n, nk, form, geometry):
@@ -66,7 +66,7 @@ def _scalar_stats(kernel, strategy, n, nk, geometry):
     sims = [SetAssociativeCache(p) for p in GEOMETRIES[geometry]]
     reads = writes = 0
     for chunk in _kernel_chunks(kernel, strategy, n, nk, "flat"):
-        addrs, w = chunk.pair()
+        addrs, w = chunk.addresses, chunk.write_mask
         nw = int(np.count_nonzero(w))
         reads += addrs.size - nw
         writes += nw
@@ -141,7 +141,7 @@ class TestCompressIterChunk:
         assert np.all(chunk.strides == 8)
         assert np.all(chunk.counts == n_rows)
         flat = next(iter(trace_chunks(iter([(i, j, k)]), refs,
-                                      max_addresses=0, structured=True)))
+                                      max_addresses=0)))
         assert np.array_equal(chunk.materialize().matrix, flat.matrix)
         assert np.array_equal(chunk.wmask_row, flat.wmask_row)
 
@@ -157,7 +157,7 @@ class TestCompressIterChunk:
         assert isinstance(chunk, RunChunk)
         assert np.all(chunk.strides == 16)
         flat = next(iter(trace_chunks(iter([(i, j, k)]), refs,
-                                      max_addresses=0, structured=True)))
+                                      max_addresses=0)))
         assert np.array_equal(chunk.materialize().matrix, flat.matrix)
 
     def test_small_chunk_falls_back(self):
@@ -195,10 +195,8 @@ class TestGeneratorRunsForm:
         refs = _two_array_refs(128)
         from repro.trace.enumerators import untiled_3d
 
-        flat = list(trace_chunks(untiled_3d(128, 6), refs,
-                                 structured=True, form="flat"))
-        runs = list(trace_chunks(untiled_3d(128, 6), refs,
-                                 structured=True, form="runs"))
+        flat = list(trace_chunks(untiled_3d(128, 6), refs, form="flat"))
+        runs = list(trace_chunks(untiled_3d(128, 6), refs, form="runs"))
         assert any(isinstance(c, RunChunk) for c in runs)
         f = np.concatenate([c.addresses for c in flat])
         r = np.concatenate([(c.materialize() if isinstance(c, RunChunk)
@@ -214,37 +212,37 @@ class TestGeneratorRunsForm:
 
         ref_stream = np.concatenate([
             c.addresses for c in trace_chunks(untiled_3d(128, 6), refs,
-                                              structured=True, form="flat",
-                                              max_addresses=0)])
+                                              form="flat", max_addresses=0)])
         got = np.concatenate([
             (c.materialize() if isinstance(c, RunChunk) else c).addresses
-            for c in trace_chunks(untiled_3d(128, 6), refs,
-                                  structured=True, form="runs",
+            for c in trace_chunks(untiled_3d(128, 6), refs, form="runs",
                                   max_addresses=max_addresses)])
         assert np.array_equal(ref_stream, got)
 
-    def test_runs_requires_structured(self):
+    def test_flat_form_yields_trace_chunks(self):
+        """One chunk type: no tuple form, no ``structured=`` switch."""
         refs = _two_array_refs(16)
         from repro.trace.enumerators import untiled_3d
 
-        with pytest.raises(TraceError, match="structured"):
-            list(trace_chunks(untiled_3d(16, 4), refs, form="runs"))
+        chunks = list(trace_chunks(untiled_3d(16, 4), refs))
+        assert chunks and all(isinstance(c, TraceChunk) for c in chunks)
+        assert not hasattr(TraceChunk, "pair")
+        with pytest.raises(TypeError):
+            list(trace_chunks(untiled_3d(16, 4), refs, structured=True))
 
     def test_unknown_form_rejected(self):
         refs = _two_array_refs(16)
         from repro.trace.enumerators import untiled_3d
 
         with pytest.raises(TraceError, match="unknown trace form"):
-            list(trace_chunks(untiled_3d(16, 4), refs,
-                              structured=True, form="zip"))
+            list(trace_chunks(untiled_3d(16, 4), refs, form="zip"))
 
     def test_fallback_metrics_emitted(self):
         refs = _two_array_refs(16)
         from repro.trace.enumerators import untiled_3d
 
         with metrics.collect() as reg:
-            list(trace_chunks(untiled_3d(16, 4), refs,
-                              structured=True, form="runs"))
+            list(trace_chunks(untiled_3d(16, 4), refs, form="runs"))
         assert reg.counter_total("repro.trace.run_fallback",
                                  reason="small_chunk") > 0
         assert reg.counter_total("repro.trace.run_chunks") == 0
