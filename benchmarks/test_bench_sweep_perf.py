@@ -101,6 +101,44 @@ def test_trace_form_differential(tiny_config):
             assert flat == runs, (kernel, strategy)
 
 
+#: The untiled, direct-mapped points of the paper-density Table 3 block
+#: with one line-aligned plane stride: the default route extrapolates
+#: exactly these (RESID GcdPadNT pads only some arrays, so it is not
+#: among them).
+_PAPER_EXTRAPOLATED = (("JACOBI", "Orig", 200), ("JACOBI", "GcdPadNT", 200),
+                       ("REDBLACK", "Orig", 200),
+                       ("REDBLACK", "GcdPadNT", 200),
+                       ("RESID", "Orig", 200), ("RESID", "Orig", 400))
+
+
+def test_paper_density_extrapolation_differential(monkeypatch):
+    """At NK=30 on the paper's 16K/32B + 2M/64B direct-mapped caches,
+    the default route fires K-plane extrapolation on every eligible
+    point and still matches full flat simulation bit-for-bit."""
+    from repro.experiments.runner import clear_cache
+    from repro.obs import metrics
+
+    routes = []
+    inc = metrics.inc
+
+    def recording_inc(name, n=1, **labels):
+        if name == "repro.cache.extrapolation":
+            routes.append(labels["outcome"])
+        inc(name, n, **labels)
+
+    monkeypatch.setattr(metrics, "inc", recording_inc)
+    cfg = ExperimentConfig(nk=30)
+    clear_cache()
+    for kernel, strategy, n in _PAPER_EXTRAPOLATED:
+        routes.clear()
+        auto = run_point(kernel, strategy, n, cfg)
+        assert routes == ["fired"], (kernel, strategy, n, routes)
+        flat = run_point(kernel, strategy, n, cfg,
+                         policy=PointPolicy(trace_form="flat"))
+        assert (auto.refs, auto.l1_misses, auto.l2_misses) == \
+            (flat.refs, flat.l1_misses, flat.l2_misses), (kernel, strategy, n)
+
+
 def test_run_trace_generation_beats_flat_2x():
     """The PR 10 acceptance gate: emitting (base, stride, count) runs
     must produce the untiled trace at >= 2x the address-matrix fill.

@@ -33,8 +33,10 @@ Classifiers do not change how a point is simulated: the batched
 on each level's windows in program order. Classification is
 incompatible with K-plane extrapolation
 (:mod:`repro.experiments.extrapolate`) — skipped planes are never
-simulated, so their misses cannot be classified; the runner gives
-``--metrics`` precedence and disables extrapolation for such points.
+simulated, so their misses cannot be classified. An attached
+classifier therefore fails the extrapolator's static checks
+(``reason="classifiers"``) and the runner simulates the point in full;
+its statistics are identical either way.
 """
 
 from __future__ import annotations

@@ -58,11 +58,11 @@ checkpoint or point cache drain gracefully on SIGINT/SIGTERM: in-flight
 points finish and journal, the command exits 130, and re-running
 resumes from the journal. ``--chunk-size N`` bounds the addresses materialized per
 trace chunk (0 = unbounded; results are bit-for-bit identical either
-way). ``--extrapolate`` enables exact steady-state K-plane
-extrapolation: untiled points stop simulating once their per-plane
-statistics provably repeat (shift-equivalent cache tags) and the rest
-is costed in closed form — identical miss counts, flagged per point;
-ineligible points fall back to full simulation.
+way). Untiled points on direct-mapped caches are extrapolated
+automatically: they stop simulating once their per-plane statistics
+provably repeat (shift-equivalent cache tags) and the rest is costed
+in closed form — identical miss counts. ``--trace-form runs|flat``
+forces full simulation in that trace form.
 
 Observability (every command, flags go after the subcommand name):
 ``--log-json PATH`` records the run's structured event timeline as
@@ -176,24 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="addresses per simulated trace chunk "
                              "(bounds memory; 0 = unbounded; default: "
                              "a ~1M-address bound)")
-        sp.add_argument("--extrapolate", action="store_true",
-                        help="exact steady-state K-plane mode: stop "
-                             "simulating a point once its per-plane "
-                             "statistics provably repeat and "
-                             "extrapolate the rest in closed form "
-                             "(identical results, recorded per point; "
-                             "points where the check never fires are "
-                             "simulated in full; incompatible with "
-                             "--metrics' miss classifiers, which then "
-                             "win)")
         sp.add_argument("--trace-form", choices=["auto", "runs", "flat"],
                         default="auto",
                         help="trace representation fed to the simulator "
                              "(identical statistics): 'runs' = affine "
                              "(base, stride, count) run compression, "
-                             "'flat' = materialized addresses, 'auto' "
-                             "(default) = runs wherever the point's "
-                             "simulation can consume them")
+                             "'flat' = materialized addresses; either "
+                             "forces full simulation. 'auto' (default) "
+                             "extrapolates untiled direct-mapped points "
+                             "exactly and runs the rest as 'runs'")
 
     sp = sub.add_parser("select", help="run one tile-selection strategy",
                         parents=[obsopts])
@@ -514,12 +505,6 @@ def _validate(args) -> None:
         raise ConfigurationError(
             f"--chunk-size must be >= 0 (0 = unbounded), "
             f"got {args.chunk_size}")
-    if (getattr(args, "trace_form", "auto") == "runs"
-            and getattr(args, "extrapolate", False)):
-        raise ConfigurationError(
-            "--extrapolate replays flat per-plane chunks; "
-            "--trace-form runs cannot be forced with it "
-            "(use auto or flat)")
     if args.command == "bench":
         if args.action == "compare" and not args.new:
             raise ConfigurationError(
@@ -595,7 +580,6 @@ def _sweep_options(args):
         resume_force=getattr(args, "resume_force", False),
         point_cache=getattr(args, "point_cache", None) or None,
         chunk_size=getattr(args, "chunk_size", None),
-        extrapolate=getattr(args, "extrapolate", False),
         trace_form=getattr(args, "trace_form", "auto"))
 
 
@@ -753,16 +737,14 @@ def _dispatch(args) -> int:
 
         policy = None
         if (args.point_cache or args.chunk_size is not None
-                or args.extrapolate or args.trace_form != "auto"):
+                or args.trace_form != "auto"):
             policy = PointPolicy(store=open_store(args.point_cache or None),
                                  chunk_size=args.chunk_size,
-                                 extrapolate=args.extrapolate,
                                  trace_form=args.trace_form)
         p = run_point(args.kernel, args.strategy, args.n, ExperimentConfig(),
                       policy=policy)
-        marker = " [extrapolated]" if p.extrapolated else ""
         print(f"{args.kernel} / {args.strategy} at N={args.n} "
-              f"(NK={p.nk}):{marker}")
+              f"(NK={p.nk}):")
         print(f"  tile        : {p.tile or '(untiled)'}  "
               f"dims {p.di_p} x {p.dj_p}")
         print(f"  L1 miss rate: {p.l1_rate:.2f}%")
@@ -894,8 +876,7 @@ def _dispatch(args) -> int:
                      queue_limit=args.queue_limit,
                      workers=args.sim_workers,
                      point_timeout=args.point_timeout, budget=budget,
-                     chunk_size=args.chunk_size,
-                     extrapolate=args.extrapolate, status=status)
+                     chunk_size=args.chunk_size, status=status)
 
     elif args.command == "fsck":
         from repro.resilience.fsck import fsck_path

@@ -27,11 +27,11 @@ __all__ = ["points_to_csv", "write_points_csv", "read_points_csv"]
 
 _COLUMNS = ("kernel", "strategy", "n", "nk", "l1_rate", "l2_rate",
             "l1_misses", "l2_misses", "refs", "mflops", "seconds",
-            "ti", "tj", "di_p", "dj_p", "degraded", "extrapolated")
+            "ti", "tj", "di_p", "dj_p", "degraded")
 
-#: Provenance flags: optional on read (older files predate them), and
-#: an absent column means False for every row.
-_FLAG_COLUMNS = ("degraded", "extrapolated")
+#: Provenance flag: optional on read (older files predate it), and an
+#: absent column means False for every row.
+_FLAG_COLUMNS = ("degraded",)
 
 _INT_COLUMNS = ("n", "nk", "l1_misses", "l2_misses", "refs", "di_p", "dj_p")
 _FLOAT_COLUMNS = ("l1_rate", "l2_rate", "mflops", "seconds")
@@ -45,7 +45,7 @@ def _row(p: PointResult) -> list:
             p.l1_misses, p.l2_misses, p.refs,
             f"{p.mflops:.6f}", f"{p.seconds:.9f}",
             ti, tj, p.di_p, p.dj_p,
-            int(p.degraded), int(p.extrapolated)]
+            int(p.degraded)]
 
 
 def points_to_csv(points: Iterable[PointResult]) -> str:
@@ -78,9 +78,11 @@ def read_points_csv(path: str | pathlib.Path) -> list[dict]:
     """Read a CSV written by :func:`write_points_csv` back into dicts.
 
     Numeric columns are parsed; empty tile columns become ``None``;
-    ``degraded``/``extrapolated`` become bools (files from before the
-    columns existed read as ``False``). Malformed input raises
-    :class:`~repro.errors.ExperimentError` with the path and row.
+    ``degraded`` becomes a bool (files from before the column existed
+    read as ``False``); columns this writer no longer emits, such as
+    the old ``extrapolated`` flag, pass through as strings. Malformed
+    input raises :class:`~repro.errors.ExperimentError` with the path
+    and row.
     """
     path = pathlib.Path(path)
     if not path.exists():

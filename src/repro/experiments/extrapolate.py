@@ -16,31 +16,37 @@ simulated planes simply cycle.
 This module drives a point's simulation plane by plane, watches for
 shift-equivalence (periods 1..:data:`QMAX`), and **stops simulating**
 when it fires — extrapolating the rest exactly, in integer arithmetic.
-It is opt-in (``SweepOptions(extrapolate=True)`` / ``--extrapolate``)
-and conservative: *every* skipped plane is still structurally verified
+It is an internal route of the experiment runner, not an option: the
+runner extrapolates every point that passes :func:`ineligibility` and
+whose trace form is not forced (see ``_simulate_exact``). It is
+conservative: *every* skipped plane is still structurally verified
 (same (I, J) iteration pattern as its cycle counterpart, K advancing
 by one), and any violation fast-forwards the cache state by the proven
-shift and resumes full simulation mid-stream. Points where the
-preconditions never hold (tiled schedules, non-direct-mapped levels,
-mixed plane strides, red-black's alternating parity breaking the
-K-continuity at the color boundary) degrade to full simulation and
-report why.
+shift and resumes full simulation mid-stream. Skipped planes are still
+generated (in run-compressed form) and handed to ``on_chunk``, so
+budgets, fault ticks and trace counters see the same chunks as a full
+simulation; only the cache work is skipped.
 
-Ineligible by construction:
+Ineligible by construction (:func:`ineligibility` names the first
+that applies; such points are fully simulated by the runner):
 
 * **tiled schedules** — a tile spans all K planes, so there is no
-  plane-periodic stream to extrapolate (``reason="tiled_schedule"``);
+  plane-periodic stream to extrapolate (``"tiled_schedule"``);
 * **classifiers** — 3C classification must observe every access;
-  skipped planes would leave the shadow caches stale, so the runner
-  never combines the two (``--metrics`` wins; see ``_simulate_exact``);
+  skipped planes would leave the shadow caches stale
+  (``"classifiers"``);
 * **non-direct-mapped levels** — only :class:`DirectMappedCache`
   exposes the tag-array shift primitives
-  (``reason="level_not_direct_mapped"``);
+  (``"level_not_direct_mapped"``);
 * **mixed plane strides** — when arrays have different padded plane
   sizes (e.g. RESID with only some arrays padded), a K step shifts
   each array's stream by a different amount and no single tag shift
-  exists (``reason="plane_stride"``; also when the common plane stride
-  is not line-aligned).
+  exists (``"plane_stride"``; also when the common plane stride is not
+  line-aligned).
+
+Eligible points can still fall back at run time (red-black's
+alternating parity breaking K-continuity at the color boundary, a
+cache that never reaches steady state); the report says why.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import CacheHierarchy, HierarchyStats
 from repro.trace.generator import trace_chunks
 
-__all__ = ["ExtrapolationReport", "QMAX", "simulate_extrapolated"]
+__all__ = ["ExtrapolationReport", "QMAX", "ineligibility",
+           "simulate_extrapolated"]
 
 #: Largest steady-state period checked (red-black sweeps alternate
 #: plane parity, so their natural period is 2; plain sweeps need 1).
@@ -73,20 +80,22 @@ class ExtrapolationReport:
     #: Steady-state period in planes (None when extrapolation never fired).
     period: int | None
     #: Why the point (fully or partially) fell back to simulation:
-    #: ``tiled_schedule`` / ``classifiers`` /
-    #: ``level_not_direct_mapped`` / ``plane_stride`` /
     #: ``not_plane_periodic`` / ``no_steady_state``; ``None`` when
     #: every remaining plane was extrapolated.
     reason: str | None
 
 
-def _ineligibility(sel, hier: CacheHierarchy, specs) -> str | None:
-    """The precondition that rules this point out, or ``None``."""
+def ineligibility(sel, hier: CacheHierarchy, specs) -> str | None:
+    """The static check that rules this point out, or ``None``.
+
+    ``specs`` are the point's array specs (``kern.specs(...)``). A
+    ``None`` result means :func:`simulate_extrapolated` may run the
+    point; any other value names the failed check (see the module
+    docstring).
+    """
     if sel.tiled:
         return "tiled_schedule"
     if any(c is not None for c in hier.classifiers):
-        # Miss classifiers must observe every access; skipped planes
-        # would leave the shadow caches stale (see module docstring).
         return "classifiers"
     if not all(isinstance(l, DirectMappedCache) for l in hier.levels):
         return "level_not_direct_mapped"
@@ -152,34 +161,39 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
                           ) -> tuple[HierarchyStats, ExtrapolationReport]:
     """Simulate a point, extrapolating steady-state planes exactly.
 
-    Drop-in equal to ``hier.run(kern.trace(...))`` — the returned
-    :class:`HierarchyStats` is **bit-for-bit identical** whether
-    extrapolation fires, partially fires, or never does (the
+    Drop-in equal to ``hier.run(kern.trace(...))`` for a point that
+    passes :func:`ineligibility` (anything else raises ``ValueError``)
+    — the returned :class:`HierarchyStats` is **bit-for-bit identical**
+    whether extrapolation fires, partially fires, or never does (the
     differential tests in ``tests/test_extrapolate.py`` hold it to
     that) — but skips the simulation of planes whose statistics are
     already determined by shift-equivalence. ``on_chunk`` keeps its
     ``CacheHierarchy.run`` meaning (budget deadlines, fault ticks) and
-    only fires for chunks actually simulated.
+    fires for every chunk of the trace, skipped planes included.
     """
     specs = kern.specs(sel.di_p, sel.dj_p, inter_pad_cache=inter_pad)
-    reason = _ineligibility(sel, hier, specs)
+    reason = ineligibility(sel, hier, specs)
     if reason is not None:
-        stats = hier.run(kern.trace(sel, schedule, inter_pad_cache=inter_pad,
-                                    chunk_size=chunk_size),
-                         on_chunk=on_chunk)
-        return stats, ExtrapolationReport(
-            fired=False, planes_simulated=-1, planes_skipped=0,
-            period=None, reason=reason)
+        raise ValueError(f"point cannot be extrapolated: {reason}")
 
     refs = kern.refs(specs)
     spec0 = next(iter(specs.values()))
     plane_bytes = spec0.plane * spec0.elem_bytes
     d_lines = [plane_bytes // p.line_bytes for p in hier.params]
 
+    def plane_trace(chunk):
+        return trace_chunks(iter([chunk]), refs, max_addresses=chunk_size,
+                            form="runs")
+
     def simulate_plane(chunk) -> None:
-        hier.run(trace_chunks(iter([chunk]), refs,
-                              max_addresses=chunk_size),
-                 on_chunk=on_chunk)
+        hier.run(plane_trace(chunk), on_chunk=on_chunk)
+
+    def charge_plane(chunk) -> None:
+        # A skipped plane still counts against the point's budget:
+        # ``max_refs`` bounds the trace, not the simulated part of it.
+        if on_chunk is not None:
+            for c in plane_trace(chunk):
+                on_chunk(c)
 
     def snapshot_tags() -> list[np.ndarray]:
         return [lvl.tags_snapshot() for lvl in hier.levels]
@@ -226,6 +240,7 @@ def simulate_extrapolated(kern, sel, schedule, hier: CacheHierarchy, *,
         if skipping:
             if (plane_like and kval == next_k
                     and _sig_equal(sig, cycle_sigs[skipped_run % period])):
+                charge_plane((i, j, k))
                 skipped_run += 1
                 planes_skipped += 1
                 next_k += 1

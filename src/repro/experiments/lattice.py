@@ -55,7 +55,7 @@ DEFAULT_STRATEGIES: tuple[str, ...] = ("Orig", "GcdPad", "Pad")
 
 _CSV_COLUMNS = ("kernel", "strategy", "n", "nk", "assoc", "line_bytes",
                 "l1_rate", "l2_rate", "l1_misses", "l2_misses", "refs",
-                "mflops", "seconds", "degraded", "extrapolated")
+                "mflops", "seconds", "degraded")
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,8 @@ def run_lattice(kernel: str, n: int,
     every cell replaces the L1 with its lattice geometry via
     ``dataclasses.replace``, so fingerprints — and therefore point-store
     entries — are per-geometry. ``options`` carries the execution
-    choices that make sense per-cell (store, budget, chunk size,
-    extrapolation); ``checkpoint`` is ignored (see module docstring).
+    choices that make sense per-cell (store, budget, chunk size, trace
+    form); ``checkpoint`` is ignored (see module docstring).
     """
     cfg = cfg or ExperimentConfig()
     options = options or SweepOptions()
@@ -127,7 +127,7 @@ def run_lattice(kernel: str, n: int,
     store = open_store(options.point_cache)
     policy = PointPolicy(budget=budget, store=store,
                          chunk_size=options.chunk_size,
-                         extrapolate=options.extrapolate)
+                         trace_form=options.trace_form)
     cells: dict[tuple[str, int, int], PointResult] = {}
     with events.span("lattice", kernel=kernel, n=n,
                      cells=len(strategies) * len(assocs) * len(line_sizes)):
@@ -182,7 +182,7 @@ def _rows(data: LatticeData) -> list[list]:
                     f"{p.l1_rate:.6f}", f"{p.l2_rate:.6f}",
                     p.l1_misses, p.l2_misses, p.refs,
                     f"{p.mflops:.6f}", f"{p.seconds:.9f}",
-                    int(p.degraded), int(p.extrapolated)])
+                    int(p.degraded)])
     return out
 
 

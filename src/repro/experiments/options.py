@@ -62,16 +62,15 @@ class SweepOptions:
                         are reused across processes and across runs
     ``chunk_size``      addresses per simulated trace chunk (``None`` =
                         the generator default, ``0`` = unbounded)
-    ``extrapolate``     exact steady-state K-plane extrapolation
-                        (:mod:`repro.experiments.extrapolate`): stop
-                        simulating once plane statistics provably
-                        repeat; identical results, recorded per point
     ``trace_form``      ``"auto"`` (default) / ``"runs"`` / ``"flat"``:
-                        how traces reach the simulator. ``auto`` picks
-                        the run-compressed form whenever the point's
-                        simulation can consume it (identical
-                        statistics); forcing a value pins the form for
-                        benchmarking and differential tests
+                        how traces reach the simulator. ``auto`` lets
+                        the point's shape pick the route: exact K-plane
+                        extrapolation for untiled direct-mapped points
+                        (see :mod:`repro.experiments.extrapolate`),
+                        run-compressed full simulation otherwise
+                        (identical statistics); forcing a value means
+                        full simulation in that form, for benchmarking
+                        and differential tests
     ==================  ====================================================
     """
 
@@ -82,7 +81,6 @@ class SweepOptions:
     resume_force: bool = False
     point_cache: "str | os.PathLike | PointStore | None" = None
     chunk_size: int | None = None
-    extrapolate: bool = False
     trace_form: str = "auto"
 
     def __post_init__(self) -> None:
@@ -93,22 +91,19 @@ class SweepOptions:
             raise ConfigurationError(
                 f"point_timeout must be positive, got {self.point_timeout}")
         _check_chunk_size(self.chunk_size)
-        _check_trace_form(self.trace_form, self.extrapolate)
+        _check_trace_form(self.trace_form)
 
     @property
     def plain(self) -> bool:
         """No per-point machinery: the memoized fast path applies.
 
-        ``extrapolate`` routes around the memo too — its results carry
-        a provenance flag (``PointResult.extrapolated``) that a memo
-        shared with non-extrapolating callers would misreport. A forced
-        ``trace_form`` likewise routes around the memo: both forms are
+        A forced ``trace_form`` routes around the memo: every form is
         bit-for-bit identical, but benchmarks force a form precisely to
         *measure* it, and a memo hit would silently measure nothing.
         """
         return (self.checkpoint is None and self.budget is None
                 and self.point_cache is None and self.chunk_size is None
-                and not self.extrapolate and self.trace_form == "auto")
+                and self.trace_form == "auto")
 
     def point_policy(self, journal=None, store=None) -> "PointPolicy":
         """The per-point policy this sweep implies (serial path).
@@ -118,7 +113,6 @@ class SweepOptions:
         """
         return PointPolicy(budget=self.budget, journal=journal,
                            store=store, chunk_size=self.chunk_size,
-                           extrapolate=self.extrapolate,
                            trace_form=self.trace_form)
 
 
@@ -138,12 +132,9 @@ class PointPolicy:
     ``chunk_size``  addresses per trace chunk (``None`` = default bound,
                     ``0`` = unbounded); affects memory/timing only — the
                     simulated statistics are bit-for-bit independent of it
-    ``extrapolate`` exact steady-state K-plane extrapolation: stop
-                    simulating once plane statistics provably repeat
-                    (identical results; ``PointResult.extrapolated``
-                    records whether it fired)
     ``trace_form``  ``"auto"`` / ``"runs"`` / ``"flat"`` — how the trace
-                    reaches the simulator (identical statistics; see
+                    reaches the simulator; a forced form means full
+                    simulation (identical statistics; see
                     :class:`SweepOptions`)
     ==============  ========================================================
 
@@ -157,27 +148,24 @@ class PointPolicy:
     journal: "CheckpointJournal | None" = None
     store: "PointStore | None" = None
     chunk_size: int | None = None
-    extrapolate: bool = False
     trace_form: str = "auto"
 
     def __post_init__(self) -> None:
         _check_chunk_size(self.chunk_size)
-        _check_trace_form(self.trace_form, self.extrapolate)
+        _check_trace_form(self.trace_form)
         if self.analytic and (self.budget is not None
                               or self.chunk_size is not None
-                              or self.extrapolate
                               or self.trace_form != "auto"):
             raise ConfigurationError(
                 "an analytic policy simulates nothing: budget/chunk_size/"
-                "extrapolate/trace_form do not apply")
+                "trace_form do not apply")
 
     @property
     def plain(self) -> bool:
         """True when the memoized exact fast path may serve this point."""
         return (not self.analytic and self.budget is None
                 and self.journal is None and self.store is None
-                and self.chunk_size is None and not self.extrapolate
-                and self.trace_form == "auto")
+                and self.chunk_size is None and self.trace_form == "auto")
 
 
 def _check_chunk_size(chunk_size: int | None) -> None:
@@ -186,15 +174,10 @@ def _check_chunk_size(chunk_size: int | None) -> None:
             f"chunk_size must be >= 0 (0 = unbounded), got {chunk_size}")
 
 
-def _check_trace_form(trace_form: str, extrapolate: bool) -> None:
+def _check_trace_form(trace_form: str) -> None:
     from repro.trace.generator import TRACE_FORMS
 
     valid = ("auto",) + TRACE_FORMS
     if trace_form not in valid:
         raise ConfigurationError(
             f"unknown trace_form {trace_form!r}; valid: {valid}")
-    if extrapolate and trace_form == "runs":
-        raise ConfigurationError(
-            "extrapolate consumes per-plane flat chunks; "
-            "trace_form='runs' cannot be forced with it "
-            "(use 'auto' or 'flat')")

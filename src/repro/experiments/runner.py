@@ -78,6 +78,7 @@ from repro.errors import (
     SweepInterrupted,
 )
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.extrapolate import ineligibility, simulate_extrapolated
 from repro.experiments.options import PointPolicy, SweepOptions
 from repro.ir.stencil import JACOBI_3D, REDBLACK_6PT, RESID_27PT
 from repro.kernels import KERNELS, Schedule
@@ -123,11 +124,6 @@ class PointResult:
     #: True when the point came from the analytical miss model (budget
     #: exceeded / retries exhausted) rather than exact trace simulation.
     degraded: bool = False
-    #: True when steady-state K-plane extrapolation skipped at least
-    #: one plane (:mod:`repro.experiments.extrapolate`; the statistics
-    #: are still exact). False for full simulation, including
-    #: ``extrapolate=True`` points that degraded to full simulation.
-    extrapolated: bool = False
 
     @property
     def padded(self) -> bool:
@@ -184,7 +180,6 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
                     cfg: ExperimentConfig,
                     budget: PointBudget | None = None,
                     chunk_size: int | None = None,
-                    extrapolate: bool = False,
                     trace_form: str = "auto",
                     clock=time.monotonic) -> PointResult:
     """One exact trace simulation, optionally under a budget's deadline.
@@ -192,18 +187,17 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
     ``chunk_size`` bounds the addresses materialized per trace chunk
     (``None`` = the generator's default bound, ``0`` = unbounded); the
     simulated statistics are bit-for-bit identical for every value.
-    ``extrapolate`` enables the exact steady-state K-plane mode
-    (:mod:`repro.experiments.extrapolate`): identical statistics, but
-    planes proven shift-equivalent are costed in closed form instead of
-    simulated. Extrapolation disables the shadow miss classifiers
-    (skipped planes could not be classified), so ``--metrics`` points
-    keep full simulation even when both are requested.
 
-    ``trace_form`` selects the trace representation (statistics are
-    bit-for-bit identical across forms): ``"auto"`` resolves to the
-    run-compressed form except for the extrapolation path, which
-    replays flat per-plane chunks. Attached miss classifiers ride the
-    same batched engine, so they never change the trace form.
+    ``trace_form="auto"`` lets the point's shape pick the route: a
+    point that passes
+    :func:`~repro.experiments.extrapolate.ineligibility` (untiled, no
+    classifiers, direct-mapped levels, one line-aligned plane stride)
+    is simulated plane by plane with steady-state K-plane extrapolation
+    (identical statistics, provably repeating planes costed in closed
+    form); every other point is fully simulated from run-compressed
+    chunks. A forced ``"runs"`` or ``"flat"`` always means full
+    simulation in that form. The ``extrapolate`` event and the
+    ``repro.cache.extrapolation`` counter record the route taken.
     """
     faults.tick("simulate")
     kern = _kernel_cls(kernel_name)(n, cfg.nk, elem_bytes=cfg.elem_bytes)
@@ -215,12 +209,10 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
                 if budget is not None and budget.bounded else None)
     hier = CacheHierarchy(cfg.levels)
     inter_pad = cfg.cs if cfg.inter_pad else None
-    form = trace_form if trace_form != "auto" else (
-        "flat" if extrapolate else "runs")
-    if metrics.enabled() and not extrapolate:
+    specs = kern.specs(sel.di_p, sel.dj_p, inter_pad_cache=inter_pad)
+    if metrics.enabled():
         # Shadow-LRU miss classification is a Python-loop cost, so it is
         # attached only when a registry is collecting (``--metrics``).
-        specs = kern.specs(sel.di_p, sel.dj_p, inter_pad_cache=inter_pad)
         ranges = [(s.name, s.base * s.elem_bytes, s.end * s.elem_bytes)
                   for s in specs.values()]
         hier.attach_classifiers(
@@ -231,35 +223,34 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
         if deadline is not None:
             deadline.check(len(chunk))
 
-    extrapolated = False
+    reason = (ineligibility(sel, hier, specs) if trace_form == "auto"
+              else "trace_form")
     t0 = time.perf_counter()
     with events.span("simulate", kernel=kernel_name, strategy=strategy,
                      n=n) as sp:
-        if extrapolate:
-            from repro.experiments.extrapolate import simulate_extrapolated
-
+        if reason is None:
             stats, xrep = simulate_extrapolated(
                 kern, sel, schedule, hier, inter_pad=inter_pad,
                 chunk_size=chunk_size, on_chunk=on_chunk)
-            extrapolated = xrep.fired
-            sp["extrapolated"] = xrep.fired
-            events.emit("extrapolate", kernel=kernel_name,
-                        strategy=strategy, n=n, fired=xrep.fired,
-                        period=xrep.period,
-                        planes_simulated=xrep.planes_simulated,
-                        planes_skipped=xrep.planes_skipped,
-                        reason=xrep.reason)
-            metrics.inc("repro.cache.extrapolation",
-                        outcome="fired" if xrep.fired else "fallback",
-                        reason=xrep.reason or "none")
+            fired, reason = xrep.fired, xrep.reason
+            detail = dict(period=xrep.period,
+                          planes_simulated=xrep.planes_simulated,
+                          planes_skipped=xrep.planes_skipped)
             if xrep.planes_skipped:
                 metrics.inc("repro.cache.extrapolation_planes_skipped",
                             xrep.planes_skipped)
         else:
+            form = "runs" if trace_form == "auto" else trace_form
             stats = hier.run(
                 kern.trace(sel, schedule, inter_pad_cache=inter_pad,
                            chunk_size=chunk_size, trace_form=form),
                 on_chunk=on_chunk)
+            fired, detail = False, {}
+        events.emit("extrapolate", kernel=kernel_name, strategy=strategy,
+                    n=n, fired=fired, reason=reason, **detail)
+        metrics.inc("repro.cache.extrapolation",
+                    outcome="fired" if fired else "fallback",
+                    reason=reason or "none")
         sp["refs"] = stats.demand_refs
     if metrics.enabled():
         _record_sim_metrics(hier, stats, time.perf_counter() - t0)
@@ -284,7 +275,6 @@ def _simulate_exact(kernel_name: str, strategy: str, n: int,
         refs=stats.demand_refs, mflops=perf.mflops, seconds=perf.seconds,
         tile=sel.tile.as_tuple() if sel.tile else None,
         di_p=sel.di_p, dj_p=sel.dj_p,
-        extrapolated=extrapolated,
     )
 
 
@@ -430,6 +420,10 @@ def _point_to_payload(p: PointResult) -> dict:
 
 def _point_from_payload(payload: dict) -> PointResult:
     d = dict(payload)
+    # Records written while extrapolation was an opt-in carry an
+    # 'extrapolated' provenance flag; their statistics are exact either
+    # way, so it is dropped.
+    d.pop("extrapolated", None)
     if d.get("tile") is not None:
         d["tile"] = tuple(d["tile"])
     try:
@@ -459,12 +453,14 @@ def _check_payload(key, payload) -> PointResult:
         raise CheckpointError(
             f"point payload for {key!r} is {type(payload).__name__}, "
             f"not a mapping")
+    # Older records' 'extrapolated' flag (see _point_from_payload) is
+    # tolerated only as a bool; it is dropped on reconstruction.
+    if not isinstance(payload.get("extrapolated", False), bool):
+        raise CheckpointError(
+            "point payload field 'extrapolated' must be a bool")
     expected = set(PointResult.__dataclass_fields__)
-    got = set(payload)
-    # 'extrapolated' is the one field older journals/stores legitimately
-    # lack (it was added after they were written); it defaults to False,
-    # which is also what those records meant.
-    if got - expected or (expected - got) - {"extrapolated"}:
+    got = set(payload) - {"extrapolated"}
+    if got != expected:
         # asdict always emits every field, so any other difference means
         # a truncated or garbage-extended payload (defaults would other-
         # wise mask a missing 'degraded').
@@ -492,9 +488,6 @@ def _check_payload(key, payload) -> PointResult:
                 f"{type(v).__name__}, expected an int")
     if not isinstance(result.degraded, bool):
         raise CheckpointError("point payload field 'degraded' must be a bool")
-    if not isinstance(result.extrapolated, bool):
-        raise CheckpointError(
-            "point payload field 'extrapolated' must be a bool")
     tile = result.tile
     if tile is not None and (len(tile) != 2 or not all(
             isinstance(t, int) and not isinstance(t, bool) for t in tile)):
@@ -536,7 +529,6 @@ def _compute_point(kernel: str, strategy: str, n: int,
                    cfg: ExperimentConfig,
                    budget: PointBudget | None,
                    chunk_size: int | None = None,
-                   extrapolate: bool = False,
                    trace_form: str = "auto") -> PointResult:
     """Exact simulation under ``budget``, degrading to the model.
 
@@ -551,7 +543,6 @@ def _compute_point(kernel: str, strategy: str, n: int,
         result = run_with_retries(
             lambda: _simulate_exact(kernel, strategy, n, cfg,
                                     budget=budget, chunk_size=chunk_size,
-                                    extrapolate=extrapolate,
                                     trace_form=trace_form, clock=clock),
             budget, sleep=faults.active_sleep())
         metrics.inc("repro.runner.points", mode="exact")
@@ -615,7 +606,7 @@ def run_point(kernel: str, strategy: str, n: int,
 
         result = _compute_point(kernel, strategy, n, cfg,
                                 policy.budget, policy.chunk_size,
-                                policy.extrapolate, policy.trace_form)
+                                policy.trace_form)
         sp["degraded"] = result.degraded
         payload = _point_to_payload(result)
         if policy.journal is not None:
@@ -635,16 +626,11 @@ def _pool_point_task(args) -> dict:
     Runs in a child process (crash/OOM/hang isolation); must stay a
     module-level function so ``spawn`` platforms can pickle it. The
     supervisor round-trips the payload through :func:`_check_payload`
-    before trusting it.
+    before trusting it. ``args`` is ``(kernel, strategy, n, cfg,
+    budget, chunk_size, trace_form)``, :func:`_compute_point`'s
+    positional signature.
     """
-    # Producers predating trace_form (e.g. the advisor backend) send
-    # 7-tuples; the representation defaults to "auto" for them.
-    (kernel, strategy, n, cfg, budget, chunk_size, extrapolate,
-     *rest) = args
-    trace_form = rest[0] if rest else "auto"
-    return _point_to_payload(
-        _compute_point(kernel, strategy, n, cfg, budget, chunk_size,
-                       extrapolate, trace_form))
+    return _point_to_payload(_compute_point(*args))
 
 
 def _sweep_parallel(kernel: str, strategies: list[str], sizes: list[int],
@@ -655,7 +641,6 @@ def _sweep_parallel(kernel: str, strategies: list[str], sizes: list[int],
                     workers: int,
                     point_timeout: float | None,
                     chunk_size: int | None,
-                    extrapolate: bool = False,
                     trace_form: str = "auto",
                     drain: DrainState | None = None,
                     status=None,
@@ -698,7 +683,7 @@ def _sweep_parallel(kernel: str, strategies: list[str], sizes: list[int],
                     journal.record(key, _point_to_payload(hit))
                 continue
             tasks.append((key, (kernel, strategy, n, cfg, budget,
-                                chunk_size, extrapolate, trace_form)))
+                                chunk_size, trace_form)))
 
     retry_policy = budget or PointBudget()
     policy = PoolPolicy(workers=workers, point_timeout=point_timeout,
@@ -813,7 +798,6 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
                                       workers=options.parallel,
                                       point_timeout=options.point_timeout,
                                       chunk_size=options.chunk_size,
-                                      extrapolate=options.extrapolate,
                                       trace_form=options.trace_form,
                                       drain=drain, status=status)
                 if status is not None:
@@ -826,7 +810,6 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
                 budget = PointBudget(wall_seconds=options.point_timeout)
             policy = PointPolicy(budget=budget, journal=journal, store=store,
                                  chunk_size=options.chunk_size,
-                                 extrapolate=options.extrapolate,
                                  trace_form=options.trace_form)
             results: dict[str, list[PointResult]] = {}
             completed = 0

@@ -56,7 +56,7 @@ name                                   type        labels
                                                    fallback; ``reason``
 ``repro.cache.extrapolation_planes_skipped``  counter  —
 ``repro.service.queries``              counter     ``tier`` in exact|
-                                                   extrapolated|analytic;
+                                                   analytic;
                                                    ``source`` in store|
                                                    simulated|analytic
 ``repro.service.latency_seconds``      histogram   ``tier``

@@ -146,9 +146,10 @@ def _assoc_cfg(cfg, assoc: int):
 def resolve_trace_form(trace_form: str) -> str:
     """The concrete form a bench with ``trace_form`` times.
 
-    ``"auto"`` resolves to ``"runs"`` — benches attach no miss
-    classifiers and never extrapolate, so the runner's own ``auto``
-    resolution picks the run-compressed form for every benched point.
+    ``"auto"`` resolves to ``"runs"``. A bench always times full
+    simulation, never the default route: the resolved form is passed
+    to the runner forced, which skips K-plane extrapolation even on
+    points the default ``run_point`` would extrapolate.
     """
     from repro.trace.generator import TRACE_FORMS
 
@@ -170,8 +171,8 @@ def bench_point(kernel: str, strategy: str, n: int, cfg=None, *,
     line size), exercising the vectorized associative engine path.
     ``trace_form`` pins the trace representation being timed (the
     simulated statistics are identical across forms, the timings are
-    not); the default ``"auto"`` times what a default ``run_point``
-    would actually do — see :func:`resolve_trace_form`.
+    not); the default ``"auto"`` times full simulation from run chunks
+    — see :func:`resolve_trace_form`.
     """
     from repro.experiments.config import ExperimentConfig
 

@@ -20,10 +20,10 @@ snapshot) or ``ping``. Responses::
 
 Provenance tiers, best to worst:
 
-* ``exact`` — a fully simulated point (from the store or a fresh
-  simulation that finished within the deadline).
-* ``extrapolated`` — exact steady-state K-plane extrapolation
-  (bit-identical miss counts, flagged for transparency).
+* ``exact`` — an exactly simulated point (from the store or a fresh
+  simulation that finished within the deadline). Untiled points may
+  have had steady-state K planes extrapolated in closed form; their
+  miss counts are bit-identical, so they are exact too.
 * ``analytic`` — the paper's capacity miss model; always paired with
   ``degraded: true`` and a ``reason`` (``deadline``, ``breaker_open``,
   ``quarantined``, ``budget``, ``draining``, ``cold``).
@@ -47,7 +47,7 @@ __all__ = ["PROTOCOL_VERSION", "PROVENANCE_TIERS", "AdvisorQuery",
 PROTOCOL_VERSION = 1
 
 #: Best-to-worst answer quality; every answer is labeled with one.
-PROVENANCE_TIERS = ("exact", "extrapolated", "analytic")
+PROVENANCE_TIERS = ("exact", "analytic")
 
 #: Queries may not ask for deadlines beyond this: the service exists to
 #: answer interactively, and an unbounded wait is a resource leak.
@@ -58,11 +58,7 @@ _OPS = ("ask", "status", "ping")
 
 def provenance_of(point) -> str:
     """The provenance tier of a :class:`PointResult`-shaped object."""
-    if point.degraded:
-        return "analytic"
-    if point.extrapolated:
-        return "extrapolated"
-    return "exact"
+    return "analytic" if point.degraded else "exact"
 
 
 @dataclass(frozen=True)
@@ -141,11 +137,11 @@ class AdvisorAnswer:
     l1_rate: float
     l2_rate: float
     mflops: float
-    #: exact | extrapolated | analytic — see :data:`PROVENANCE_TIERS`.
+    #: exact | analytic — see :data:`PROVENANCE_TIERS`.
     provenance: str
     #: True iff the answer fell back to the analytic model.
     degraded: bool
-    #: Why the answer is degraded (None for exact/extrapolated).
+    #: Why the answer is degraded (None for exact).
     reason: str | None
     #: Where the service found it: store | simulated | analytic.
     source: str

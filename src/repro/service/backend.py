@@ -75,7 +75,7 @@ class PoolBackend:
 
     def __init__(self, cfg, *, store=None, workers: int = 2,
                  point_timeout: float | None = None, budget=None,
-                 chunk_size: int | None = None, extrapolate: bool = False,
+                 chunk_size: int | None = None,
                  max_batch: int | None = None):
         from repro.experiments.runner import config_fingerprint
         from repro.resilience.pool import PoolPolicy
@@ -85,7 +85,6 @@ class PoolBackend:
         self.fingerprint = config_fingerprint(cfg)
         self.budget = budget
         self.chunk_size = chunk_size
-        self.extrapolate = extrapolate
         self.policy = PoolPolicy(workers=workers,
                                  point_timeout=point_timeout)
         self.max_batch = max_batch or 2 * workers
@@ -171,7 +170,7 @@ class PoolBackend:
                 seen[j.key] = j
         batch = list(seen.values())
         tasks = [(j.key, (j.key[0], j.key[1], j.key[2], self.cfg,
-                          self.budget, self.chunk_size, self.extrapolate))
+                          self.budget, self.chunk_size, "auto"))
                  for j in batch]
         t0 = time.monotonic()
         try:

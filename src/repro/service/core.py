@@ -3,9 +3,8 @@
 The degradation ladder, best answer first:
 
 1. **Warm** — the sharded :class:`~repro.perf.store.PointStore` has a
-   validated entry: served immediately with ``exact`` (or
-   ``extrapolated``) provenance. Degraded points are never stored, so
-   a store hit is never degraded.
+   validated entry: served immediately with ``exact`` provenance.
+   Degraded points are never stored, so a store hit is never degraded.
 2. **Simulated within deadline** — a cold query is admitted to the
    supervised pool backend; if the simulation lands inside the
    request's deadline budget, the waiter gets the exact answer.
@@ -97,7 +96,7 @@ class AdvisorService:
         self.answered = 0
         self.shed = 0
         self.coalesced = 0
-        self.tiers = {"exact": 0, "extrapolated": 0, "analytic": 0}
+        self.tiers = {"exact": 0, "analytic": 0}
 
     # ------------------------------------------------------------------
     async def ask(self, query: AdvisorQuery) -> AdvisorAnswer:

@@ -50,7 +50,7 @@ def serve(*, socket_path=None, stdio: bool = False, cfg=None, store=None,
           deadline_s: float = 2.0, queue_limit: int = 16,
           workers: int = 2, point_timeout: float | None = None,
           budget=None, chunk_size: int | None = None,
-          extrapolate: bool = False, breaker: CircuitBreaker | None = None,
+          breaker: CircuitBreaker | None = None,
           status=None) -> int:
     """Run the advisor until EOF (stdio) or SIGINT/SIGTERM (socket)."""
     from repro.experiments.config import ExperimentConfig
@@ -64,8 +64,7 @@ def serve(*, socket_path=None, stdio: bool = False, cfg=None, store=None,
     store = open_store(store)
     backend = PoolBackend(cfg, store=store, workers=workers,
                           point_timeout=point_timeout, budget=budget,
-                          chunk_size=chunk_size,
-                          extrapolate=extrapolate).start()
+                          chunk_size=chunk_size).start()
     service = AdvisorService(backend, cfg=cfg, store=store,
                              breaker=breaker, deadline_s=deadline_s,
                              queue_limit=queue_limit)

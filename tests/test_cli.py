@@ -52,6 +52,14 @@ class TestParser:
         assert a.kernel == "JACOBI" and a.n == 300
         assert a.assoc is None and a.line is None
 
+    @pytest.mark.parametrize("command", ["simulate", "table3", "figures",
+                                         "lattice", "serve"])
+    def test_extrapolate_flag_is_gone(self, command):
+        # K-plane extrapolation is picked from the point's shape.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--extrapolate"])
+        assert exc.value.code == 2
+
     def test_parallel_flags(self):
         a = build_parser().parse_args(
             ["table3", "--parallel", "4", "--point-timeout", "30"])

@@ -45,9 +45,7 @@ class TestSweepOptions:
         assert not SweepOptions(budget=PointBudget()).plain
         assert not SweepOptions(point_cache="/tmp/c").plain
         assert not SweepOptions(chunk_size=0).plain
-        # extrapolated results carry a provenance flag the shared memo
-        # would misreport, so they must route around it
-        assert not SweepOptions(extrapolate=True).plain
+        assert not SweepOptions(trace_form="flat").plain
 
     def test_point_policy_projection(self):
         opts = SweepOptions(budget=PointBudget(max_refs=10), chunk_size=64)
@@ -55,8 +53,11 @@ class TestSweepOptions:
         assert pol == PointPolicy(budget=opts.budget, journal="J",
                                   store="S", chunk_size=64)
 
-    def test_point_policy_carries_extrapolate(self):
-        assert SweepOptions(extrapolate=True).point_policy().extrapolate
+    def test_extrapolation_is_not_an_option(self):
+        # K-plane extrapolation is picked from the point's shape.
+        for cls in (SweepOptions, PointPolicy):
+            with pytest.raises(TypeError):
+                cls(extrapolate=True)
 
 
 class TestPointPolicy:
@@ -69,7 +70,7 @@ class TestPointPolicy:
         assert not PointPolicy(analytic=True).plain
         assert not PointPolicy(budget=PointBudget()).plain
         assert not PointPolicy(chunk_size=0).plain
-        assert not PointPolicy(extrapolate=True).plain
+        assert not PointPolicy(trace_form="runs").plain
 
     def test_analytic_excludes_simulation_knobs(self):
         with pytest.raises(ConfigurationError, match="analytic"):
@@ -77,7 +78,7 @@ class TestPointPolicy:
         with pytest.raises(ConfigurationError, match="analytic"):
             PointPolicy(analytic=True, chunk_size=64)
         with pytest.raises(ConfigurationError, match="analytic"):
-            PointPolicy(analytic=True, extrapolate=True)
+            PointPolicy(analytic=True, trace_form="flat")
 
     def test_bad_chunk_size(self):
         with pytest.raises(ConfigurationError, match="chunk_size"):

@@ -90,3 +90,18 @@ class TestHardenedRead:
         path.write_text("\n".join(stripped) + "\n")
         back = read_points_csv(path)
         assert all(r["degraded"] is False for r in back)
+
+    def test_file_with_old_extrapolated_column_reads(self, points,
+                                                     tmp_path):
+        # Files written while extrapolation was an opt-in end with an
+        # 'extrapolated' flag column; it passes through as a string.
+        current = read_points_csv(write_points_csv(points,
+                                                   tmp_path / "new.csv"))
+        path = tmp_path / "old.csv"
+        lines = points_to_csv(points).splitlines()
+        path.write_text("\n".join([lines[0] + ",extrapolated"]
+                                  + [line + ",1" for line in lines[1:]])
+                        + "\n")
+        back = read_points_csv(path)
+        assert [r.pop("extrapolated") for r in back] == ["1", "1"]
+        assert back == current

@@ -2,12 +2,13 @@
 
 The mode's whole contract is *exactness*: wherever it fires it must
 reproduce the full simulation's statistics bit for bit, and wherever
-the structural preconditions fail it must fall back to full simulation
-(with the reason recorded) rather than approximate. Tiny caches make a
+the structural preconditions fail the runner must route the point to
+full simulation (with the reason recorded) rather than approximate. Tiny caches make a
 plane wrap L2 at N~64, so the steady state appears — and these tests
 run — in milliseconds.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -21,11 +22,18 @@ from repro.core.selector import select
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.extrapolate import (
     ExtrapolationReport,
+    ineligibility,
     simulate_extrapolated,
 )
 from repro.experiments.options import PointPolicy, SweepOptions
-from repro.experiments.runner import _schedule_for, run_point, sweep
+from repro.experiments.runner import (
+    _schedule_for,
+    clear_cache,
+    run_point,
+    sweep,
+)
 from repro.kernels import KERNELS
+from repro.obs import metrics
 from repro.perfmodel.machine import ULTRASPARC2_360
 
 CFG = ExperimentConfig(l1=CacheParams(2048, 32, 1, "L1"),
@@ -83,21 +91,24 @@ def test_jacobi_detects_period_one():
     assert report.period == 1
 
 
+def ineligible_reason(kernel, strategy, n, cfg=CFG, classifiers=False):
+    kern, sel, _ = point_setup(kernel, strategy, n, cfg)
+    hier = CacheHierarchy(cfg.levels)
+    if classifiers:
+        hier.attach_classifiers([MissClassifier(cfg.l1), None])
+    return ineligibility(sel, hier, kern.specs(sel.di_p, sel.dj_p))
+
+
 def test_fallback_reason_tiled_schedule():
-    stats, report = run_extrapolated("JACOBI", "GcdPad", 64)
-    assert not report.fired
-    assert report.reason == "tiled_schedule"
-    assert report.planes_simulated == -1
-    assert_same_stats(stats, run_full("JACOBI", "GcdPad", 64))
+    assert ineligible_reason("JACOBI", "GcdPad", 64) == "tiled_schedule"
 
 
 def test_fallback_reason_plane_stride():
     # 90*90*8 bytes is not a multiple of the 64-byte L2 line, so planes
     # do not shift tags by a whole number of lines.
-    stats, report = run_extrapolated("JACOBI", "Orig", 90)
-    assert not report.fired
-    assert report.reason == "plane_stride"
-    assert_same_stats(stats, run_full("JACOBI", "Orig", 90))
+    assert ineligible_reason("JACOBI", "Orig", 90) == "plane_stride"
+    # RESID GcdPadNT pads only some arrays: mixed plane strides.
+    assert ineligible_reason("RESID", "GcdPadNT", 64) == "plane_stride"
 
 
 def test_fallback_reason_no_steady_state():
@@ -112,24 +123,39 @@ def test_fallback_reason_no_steady_state():
 
 
 def test_fallback_reason_classifiers():
-    kern, sel, schedule = point_setup("JACOBI", "Orig", 64)
-    hier = CacheHierarchy(CFG.levels)
-    hier.attach_classifiers([MissClassifier(CFG.l1), None])
-    stats, report = simulate_extrapolated(kern, sel, schedule, hier)
-    assert not report.fired
-    assert report.reason == "classifiers"
-    assert_same_stats(stats, run_full("JACOBI", "Orig", 64))
+    assert ineligible_reason("JACOBI", "Orig", 64,
+                             classifiers=True) == "classifiers"
 
 
 def test_fallback_reason_level_not_direct_mapped():
-    cfg = ExperimentConfig(l1=CFG.l1,
-                           l2=CacheParams(65536, 64, 2, "L2"),
-                           machine=ULTRASPARC2_360, nk=8)
-    kern, sel, schedule = point_setup("JACOBI", "Orig", 64, cfg)
-    _, report = simulate_extrapolated(kern, sel, schedule,
-                                      CacheHierarchy(cfg.levels))
-    assert not report.fired
-    assert report.reason == "level_not_direct_mapped"
+    cfg = dataclasses.replace(CFG, l2=CacheParams(65536, 64, 2, "L2"))
+    assert ineligible_reason("JACOBI", "Orig", 64,
+                             cfg) == "level_not_direct_mapped"
+
+
+def test_eligible_point_has_no_reason():
+    assert ineligible_reason("JACOBI", "Orig", 64) is None
+
+
+def test_ineligible_point_is_refused():
+    kern, sel, schedule = point_setup("JACOBI", "GcdPad", 64)
+    with pytest.raises(ValueError, match="tiled_schedule"):
+        simulate_extrapolated(kern, sel, schedule,
+                              CacheHierarchy(CFG.levels))
+
+
+def test_skipped_planes_are_charged_to_on_chunk():
+    # Budgets bound the trace, not its simulated part: every chunk of
+    # a full simulation reaches on_chunk, skipped planes included.
+    kern, sel, schedule = point_setup("JACOBI", "Orig", 72)
+    seen = []
+    stats, report = simulate_extrapolated(
+        kern, sel, schedule, CacheHierarchy(CFG.levels),
+        on_chunk=lambda c: seen.append(len(c)))
+    assert report.planes_skipped > 0
+    full = list(kern.trace(sel, schedule, trace_form="runs"))
+    assert seen == [len(c) for c in full]
+    assert sum(seen) == stats.demand_refs
 
 
 def test_report_is_frozen():
@@ -155,30 +181,91 @@ def test_shifted_tags_roundtrip():
     assert cache.tags_equal_shifted(base, d)
 
 
-def test_run_point_records_extrapolated_flag():
-    fired = run_point("JACOBI", "Orig", 64, CFG,
-                      policy=PointPolicy(extrapolate=True))
-    assert fired.extrapolated
-    plain = run_point("JACOBI", "Orig", 64, CFG)
-    assert not plain.extrapolated
-    assert (fired.l1_misses, fired.l2_misses, fired.refs) == \
-        (plain.l1_misses, plain.l2_misses, plain.refs)
+STATIC_REASONS = ("tiled_schedule", "classifiers",
+                  "level_not_direct_mapped", "plane_stride")
+
+TWO_WAY = dataclasses.replace(CFG, l1=CacheParams(2048, 32, 2, "L1"))
+
+ROUTES = [
+    ("JACOBI", "Orig", CFG, False, "fired"),
+    ("JACOBI", "GcdPadNT", CFG, False, "fired"),
+    ("JACOBI", "Tile", CFG, False, "tiled_schedule"),
+    ("REDBLACK", "Orig", CFG, False, "fired"),
+    ("REDBLACK", "GcdPadNT", CFG, False, "fired"),
+    ("REDBLACK", "Tile", CFG, False, "tiled_schedule"),
+    ("RESID", "Orig", CFG, False, "fired"),
+    ("RESID", "GcdPadNT", CFG, False, "plane_stride"),
+    ("RESID", "Tile", CFG, False, "tiled_schedule"),
+    ("RESID", "Orig", TWO_WAY, False, "level_not_direct_mapped"),
+    ("RESID", "Orig", CFG, True, "classifiers"),
+]
 
 
-def test_run_point_extrapolate_fallback_not_flagged():
-    r = run_point("JACOBI", "GcdPad", 64, CFG,
-                  policy=PointPolicy(extrapolate=True))
-    assert not r.extrapolated  # requested but structurally ineligible
-    plain = run_point("JACOBI", "GcdPad", 64, CFG)
-    assert (r.l1_misses, r.l2_misses) == (plain.l1_misses, plain.l2_misses)
+@pytest.fixture
+def counters(monkeypatch):
+    """Every ``metrics.inc`` call, recorded even with no registry."""
+    calls: list[tuple[str, int, dict]] = []
+    inc = metrics.inc
+
+    def recording_inc(name, n=1, **labels):
+        calls.append((name, n, labels))
+        inc(name, n, **labels)
+
+    monkeypatch.setattr(metrics, "inc", recording_inc)
+    clear_cache()
+    yield calls
+    clear_cache()
 
 
-def test_sweep_option_marks_points():
+def total(calls, name):
+    return sum(n for nm, n, _ in calls if nm == name)
+
+
+@pytest.mark.parametrize(
+    "kernel, strategy, cfg, observed, expected", ROUTES,
+    ids=[f"{k}-{s}-{'2way' if c is TWO_WAY else 'dm'}"
+         f"{'-observed' if o else ''}" for k, s, c, o, _ in ROUTES])
+def test_default_route_matches_full_simulation(counters, kernel, strategy,
+                                               cfg, observed, expected):
+    n = 64
+    with metrics.collect() if observed else contextlib.nullcontext():
+        point = run_point(kernel, strategy, n, cfg)
+    routes = [labels for name, _, labels in counters
+              if name == "repro.cache.extrapolation"]
+    if expected in STATIC_REASONS:
+        assert routes == [{"outcome": "fallback", "reason": expected}]
+        # Routed-away points are fully simulated from run chunks.
+        assert total(counters, "repro.trace.run_chunks") + total(
+            counters, "repro.trace.run_fallback") == total(
+            counters, "repro.trace.chunks") > 0
+        if expected != "tiled_schedule":
+            assert total(counters, "repro.trace.run_chunks") > 0
+    else:
+        assert routes == [{"outcome": expected, "reason": "none"}]
+        assert total(counters,
+                     "repro.cache.extrapolation_planes_skipped") > 0
+    flat = run_point(kernel, strategy, n, cfg,
+                     policy=PointPolicy(trace_form="flat"))
+    assert (point.refs, point.l1_misses, point.l2_misses) == \
+        (flat.refs, flat.l1_misses, flat.l2_misses)
+
+
+def test_forced_trace_form_means_full_simulation(counters):
+    run_point("JACOBI", "Orig", 64, CFG,
+              policy=PointPolicy(trace_form="runs"))
+    assert [labels for name, _, labels in counters
+            if name == "repro.cache.extrapolation"] == \
+        [{"outcome": "fallback", "reason": "trace_form"}]
+    assert total(counters, "repro.cache.extrapolation_planes_skipped") == 0
+
+
+def test_sweep_extrapolates_eligible_points(counters):
+    # A small chunk bound splits each plane into several chunks.
     pts = sweep("JACOBI", ["Orig", "GcdPad"], [64], CFG,
-                options=SweepOptions(extrapolate=True))
-    assert pts["Orig"][0].extrapolated
-    assert not pts["GcdPad"][0].extrapolated
-    baseline = sweep("JACOBI", ["Orig", "GcdPad"], [64], CFG)
-    for strat in ("Orig", "GcdPad"):
-        assert pts[strat][0].l1_misses == baseline[strat][0].l1_misses
-        assert pts[strat][0].l2_misses == baseline[strat][0].l2_misses
+                options=SweepOptions(chunk_size=4096))
+    assert [labels["reason"] for name, _, labels in counters
+            if name == "repro.cache.extrapolation"] == \
+        ["none", "tiled_schedule"]
+    flat = sweep("JACOBI", ["Orig", "GcdPad"], [64], CFG,
+                 options=SweepOptions(trace_form="flat"))
+    assert pts == flat

@@ -198,9 +198,17 @@ class TestCheckPayloadRegressions:
                 _check_payload(self.KEY, bad)
 
     def test_pre_extrapolated_payload_accepted(self, payload):
-        old = dict(payload)
-        old.pop("extrapolated")
-        assert _check_payload(self.KEY, old).extrapolated is False
+        # Records from before the 'extrapolated' flag existed have the
+        # shape of records written since it was removed: no such key.
+        assert "extrapolated" not in payload
+        assert _point_to_payload(_check_payload(self.KEY, payload)) == \
+            payload
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_extrapolated_flag_accepted_and_dropped(self, payload, flag):
+        legacy = dict(payload, extrapolated=flag)
+        assert _check_payload(self.KEY, legacy) == \
+            _check_payload(self.KEY, payload)
 
     def test_non_bool_extrapolated_rejected(self, payload):
         bad = dict(payload)

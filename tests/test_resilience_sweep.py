@@ -14,12 +14,14 @@ from repro.errors import CheckpointError, RetryableError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.options import PointPolicy, SweepOptions
 from repro.experiments.runner import (
+    _point_to_payload,
     config_fingerprint,
     open_journal,
     run_point,
     sweep,
 )
 from repro.experiments.table3 import table3
+from repro.perf.store import PointStore
 from repro.resilience import CheckpointWarning, PointBudget
 from repro.resilience import faults
 
@@ -188,6 +190,43 @@ class TestBudgetDegradation:
                                   journal=open_journal(ckpt, tiny_config)))
         assert inj.calls("simulate") == 0
         assert again == first and again.degraded
+
+
+class TestLegacyExtrapolatedRecords:
+    """Journals and stores written while K-plane extrapolation was an
+    opt-in carry an ``extrapolated`` flag per point; they must keep
+    resuming and serving the identical points."""
+
+    KEY = ("JACOBI", "Orig", 64)
+
+    @pytest.fixture
+    def legacy(self, tiny_config):
+        fresh = run_point(*self.KEY, tiny_config)
+        return fresh, dict(_point_to_payload(fresh), extrapolated=True)
+
+    def test_journal_resumes_bit_identically(self, tmp_path, tiny_config,
+                                             legacy):
+        fresh, payload = legacy
+        ckpt = tmp_path / "legacy.jsonl"
+        open_journal(ckpt, tiny_config).record(self.KEY, payload)
+        inj = faults.FaultInjector()
+        with faults.inject(inj):
+            res = sweep("JACOBI", ["Orig"], [64], tiny_config,
+                        options=SweepOptions(checkpoint=ckpt))
+        assert inj.calls("simulate") == 0
+        assert res["Orig"] == [fresh]
+
+    def test_store_serves_bit_identically(self, tmp_path, tiny_config,
+                                          legacy):
+        fresh, payload = legacy
+        store = PointStore(tmp_path / "store")
+        store.put(config_fingerprint(tiny_config), self.KEY, payload)
+        inj = faults.FaultInjector()
+        with faults.inject(inj):
+            served = run_point(*self.KEY, tiny_config,
+                               policy=PointPolicy(store=store))
+        assert inj.calls("simulate") == 0
+        assert served == fresh
 
 
 class TestRetryPolicy:

@@ -58,14 +58,13 @@ class ManualBackend:
         self.jobs.clear()
 
 
-def exact_payload(key, *, extrapolated: bool = False) -> dict:
+def exact_payload(key) -> dict:
     kernel, strategy, n = key
     return _point_to_payload(PointResult(
         kernel=kernel, strategy=strategy, n=n, nk=11,
         l1_rate=5.0, l2_rate=1.0, l1_misses=100, l2_misses=10,
         refs=1000, mflops=90.0, seconds=0.01, tile=(30, 14),
-        di_p=n + 2, dj_p=n + 2, degraded=False,
-        extrapolated=extrapolated))
+        di_p=n + 2, dj_p=n + 2, degraded=False))
 
 
 def query(kernel="JACOBI", n=40, strategy="GcdPad", deadline_s=None):
@@ -136,8 +135,6 @@ def test_provenance_labels():
     from repro.experiments.runner import _point_from_payload
 
     assert api.provenance_of(_point_from_payload(exact)) == "exact"
-    extrap = exact_payload(("JACOBI", "Pad", 40), extrapolated=True)
-    assert api.provenance_of(_point_from_payload(extrap)) == "extrapolated"
     analytic = dict(exact, degraded=True)
     assert api.provenance_of(_point_from_payload(analytic)) == "analytic"
 
@@ -162,17 +159,21 @@ def test_warm_store_hit_is_exact_and_never_degraded(tmp_path):
 
 
 def test_warm_store_hit_extrapolated_tier(tmp_path):
+    # Stores written while extrapolation was opt-in flag such entries
+    # 'extrapolated'; their counts are exact, and so is their tier.
     backend = ManualBackend()
     svc = service(backend, tmp_path)
     key = ("RESID", "Pad", 64)
     svc.store.put(svc.fingerprint, key,
-                  exact_payload(key, extrapolated=True))
+                  dict(exact_payload(key), extrapolated=True))
 
     async def go():
         return await svc.ask(query("RESID", 64, "Pad"))
 
     a = asyncio.run(go())
-    assert a.provenance == "extrapolated" and not a.degraded
+    assert a.provenance == "exact" and a.source == "store"
+    assert not a.degraded and backend.submitted == []
+    assert svc.tiers == {"exact": 1, "analytic": 0}
 
 
 # ----------------------------------------------------------------------

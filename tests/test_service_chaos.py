@@ -53,7 +53,7 @@ def exact_payload(key) -> dict:
         kernel=kernel, strategy=strategy, n=n, nk=11,
         l1_rate=5.0, l2_rate=1.0, l1_misses=100, l2_misses=10,
         refs=1000, mflops=90.0, seconds=0.01, tile=(10, 6),
-        di_p=n + 2, dj_p=n + 2, degraded=False, extrapolated=False))
+        di_p=n + 2, dj_p=n + 2, degraded=False))
 
 
 def build(tmp_path, *, deadline_s=30.0, queue_limit=32, workers=2,
