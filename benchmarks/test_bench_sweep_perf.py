@@ -184,7 +184,7 @@ def test_warm_store_integrity_overhead_within_noise(tiny_config, tmp_path):
     """Checksums + locking must not de-throne the warm store path.
 
     The integrity layer (CRC verification on every hit, advisory locks
-    around journal/eviction mutations) rides the persistence hot path.
+    around eviction) rides the persistence hot path.
     Sanity gate in the spirit of this file: a warm, store-served sweep
     must still beat re-simulating by a wide margin, and per-hit latency
     stays bounded in absolute terms generous enough for shared runners.

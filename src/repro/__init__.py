@@ -47,7 +47,7 @@ from repro.multigrid import GridHierarchy, MGSolver
 from repro.perfmodel import MachineModel, ULTRASPARC2_360, ULTRASPARC2_450
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import run_point as simulate_kernel
-from repro.resilience import CheckpointJournal, PointBudget
+from repro.resilience import PointBudget
 
 __version__ = "1.0.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "AssocScanCache",
     "CacheHierarchy",
     "CacheParams",
-    "CheckpointJournal",
     "PointBudget",
     "DirectMappedCache",
     "EngineSupport",

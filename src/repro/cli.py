@@ -5,8 +5,8 @@ Exposes the library's main entry points without writing any Python:
     python -m repro select --strategy GcdPad --n 300
     python -m repro simulate --kernel JACOBI --strategy Pad --n 250
     python -m repro table1
-    python -m repro table3 [--full] [--checkpoint PATH] [--budget SEC]
-    python -m repro figures --kernel REDBLACK [--full] [--checkpoint PATH]
+    python -m repro table3 [--full] [--checkpoint DIR] [--budget SEC]
+    python -m repro figures --kernel REDBLACK [--full] [--checkpoint DIR]
     python -m repro lattice --kernel JACOBI --n 300 [--assoc 1 --assoc 2]
     python -m repro fig22
     python -m repro mgrid [--level 7]
@@ -23,10 +23,10 @@ Exposes the library's main entry points without writing any Python:
 
 ``--full`` switches to the paper's sweep density (equivalent to setting
 ``REPRO_FULL=1``). The sweep commands (``table3``, ``figures``) accept
-``--checkpoint PATH`` to journal completed points and resume after an
-interruption, ``--resume`` to insist the journal already exists,
-``--resume-force`` to adopt a journal whose config fingerprint does not
-match this run, and ``--budget SECONDS`` to cap each point's exact
+``--checkpoint DIR`` to record completed points in a checkpoint
+directory (a point store bound to the run's configuration) and resume
+after an interruption, ``--resume`` to insist the checkpoint already
+exists, and ``--budget SECONDS`` to cap each point's exact
 simulation (over-budget points degrade to the analytic miss model and
 are flagged in the output). ``--parallel N`` fans sweep points out to N
 supervised worker processes — a crashed, hung, or over-
@@ -38,11 +38,11 @@ Performance (``simulate``, ``table3``, ``figures``): ``--point-cache
 DIR`` keeps a persistent, content-addressed store of simulated points —
 repeated runs (and the parallel pool) skip anything any previous run
 already finished; ``repro cache info|clear --point-cache DIR`` inspects
-or empties it. Journals and store entries are checksummed; ``repro
-fsck PATH`` verifies one artifact (a journal file, a store directory,
-a ``--run-dir`` ledger or one of its run directories) record by record
-and exits nonzero on damage — ``--repair`` quarantines the damaged
-records so the artifact is clean again.
+or empties it. Checkpoint and store entries are checksummed; ``repro
+fsck PATH`` verifies one artifact (a checkpoint or point-cache
+directory, a ``--run-dir`` ledger or one of its run directories)
+record by record and exits nonzero on damage — ``--repair``
+quarantines the damaged records so the artifact is clean again.
 
 Advisor service: ``repro serve`` runs the long-lived tile advisor —
 queries are answered from the point store when warm, from a bounded
@@ -53,10 +53,10 @@ typed retry-after, and a circuit breaker rides out a crashing backend.
 ``repro ask --socket PATH --n N`` queries it. SIGINT/SIGTERM drain the
 server gracefully (exit 0); with ``--run-dir`` the serve session is
 ledgered and its ``status.json`` doubles as the live health snapshot
-for ``repro watch``. Sweeps carrying a
-checkpoint or point cache drain gracefully on SIGINT/SIGTERM: in-flight
-points finish and journal, the command exits 130, and re-running
-resumes from the journal. ``--chunk-size N`` bounds the addresses materialized per
+for ``repro watch``. Sweeps carrying a checkpoint or point cache drain
+gracefully on SIGINT/SIGTERM: in-flight points finish and are
+checkpointed, the command exits 130, and re-running resumes from the
+checkpoint. ``--chunk-size N`` bounds the addresses materialized per
 trace chunk (0 = unbounded; results are bit-for-bit identical either
 way). Untiled points on direct-mapped caches are extrapolated
 automatically: they stop simulating once their per-plane statistics
@@ -140,18 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="paper-density sweeps (sets REPRO_FULL=1)")
 
     def add_resilience(sp):
-        sp.add_argument("--checkpoint", metavar="PATH",
-                        help="journal completed points to PATH (JSONL); "
-                             "re-running with the same PATH resumes, "
-                             "skipping journaled points")
+        sp.add_argument("--checkpoint", metavar="DIR",
+                        help="record completed points (degraded ones "
+                             "too) in checkpoint directory DIR, bound to "
+                             "this configuration; re-running with the "
+                             "same DIR resumes, skipping recorded points")
         sp.add_argument("--resume", action="store_true",
                         help="require that --checkpoint already exists "
                              "(guards against typos silently starting "
                              "a fresh sweep)")
-        sp.add_argument("--resume-force", action="store_true",
-                        help="adopt a --checkpoint journal even when its "
-                             "config fingerprint does not match this run "
-                             "(its points are trusted as-is)")
         sp.add_argument("--budget", type=float, metavar="SECONDS",
                         help="per-point wall-clock budget; over-budget "
                              "points degrade to the analytic miss model "
@@ -364,17 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
                          "human-readable lines")
 
     sp = sub.add_parser("fsck",
-                        help="verify/repair a checkpoint journal, "
-                             "point store, or run ledger",
+                        help="verify/repair a checkpoint or point "
+                             "store directory, or a run ledger",
                         parents=[logopts])
     sp.add_argument("target", metavar="PATH",
-                    help="a checkpoint journal file, a --point-cache "
-                         "store directory, a --run-dir ledger, or one "
+                    help="a --checkpoint or --point-cache "
+                         "directory, a --run-dir ledger, or one "
                          "run directory inside it")
     sp.add_argument("--repair", action="store_true",
                     help="quarantine damaged records (with provenance "
-                         "sidecars) and rewrite the artifact from the "
-                         "records that verified")
+                         "sidecars) and remove orphaned temp files, "
+                         "leaving the records that verified")
     sp.add_argument("--show-ok", action="store_true",
                     help="list healthy records too, not just problems")
 
@@ -480,16 +477,13 @@ def _validate(args) -> None:
                     f"--line must be a power of two >= 8 bytes, got {line}")
     if getattr(args, "resume", False):
         if not getattr(args, "checkpoint", None):
-            raise ExperimentError("--resume requires --checkpoint PATH")
+            raise ExperimentError("--resume requires --checkpoint DIR")
         import pathlib
 
         if not pathlib.Path(args.checkpoint).exists():
             raise ExperimentError(
                 f"--resume: checkpoint {args.checkpoint} does not exist; "
-                f"drop --resume to start a fresh journaled sweep")
-    if getattr(args, "resume_force", False) and not getattr(
-            args, "checkpoint", None):
-        raise ExperimentError("--resume-force requires --checkpoint PATH")
+                f"drop --resume to start a fresh checkpointed sweep")
     if getattr(args, "budget", None) is not None and args.budget <= 0:
         raise ConfigurationError(
             f"--budget must be positive seconds, got {args.budget}")
@@ -577,7 +571,6 @@ def _sweep_options(args):
         budget=budget,
         parallel=getattr(args, "parallel", 1),
         point_timeout=getattr(args, "point_timeout", None),
-        resume_force=getattr(args, "resume_force", False),
         point_cache=getattr(args, "point_cache", None) or None,
         chunk_size=getattr(args, "chunk_size", None),
         trace_form=getattr(args, "trace_form", "auto"))
@@ -597,7 +590,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.errors import ReproError, SweepInterrupted
 
         if isinstance(exc, SweepInterrupted):
-            # Graceful drain: everything finished is journaled, the
+            # Graceful drain: everything finished is checkpointed, the
             # sweep is resumable; 130 is the conventional
             # died-on-SIGINT code schedulers and shells expect.
             print(f"repro: interrupted: {exc}", file=sys.stderr)

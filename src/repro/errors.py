@@ -76,8 +76,8 @@ class IntegrityError(ReproError):
 
 
 class FsckError(ReproError):
-    """``repro fsck`` was pointed at something that is neither a
-    checkpoint journal file nor a point-store directory."""
+    """``repro fsck`` was pointed at something that is not a directory
+    (a point store, a run ledger or a run directory)."""
 
 
 class LockError(StorageError):
@@ -87,8 +87,8 @@ class LockError(StorageError):
 
 class SweepInterrupted(ExperimentError):
     """A sweep drained gracefully after SIGINT/SIGTERM: in-flight points
-    finished and were journaled, pending points were skipped. The
-    journal is resumable; the CLI maps this to exit code 130."""
+    finished and were checkpointed, pending points were skipped. The
+    checkpoint is resumable; the CLI maps this to exit code 130."""
 
     def __init__(self, message: str, *, signum: int | None = None,
                  completed: int = 0, skipped: int = 0):
@@ -99,10 +99,10 @@ class SweepInterrupted(ExperimentError):
 
 
 class CheckpointError(ExperimentError):
-    """A checkpoint journal is unusable: missing header, corrupted
-    beyond the recoverable trailing line, written by a newer format
-    version, or written under a different configuration fingerprint
-    than the resuming run's (override with ``--resume-force``)."""
+    """A checkpoint is unusable: its path is a file (checkpoint journals
+    are no longer read), it holds entries written under a different
+    configuration fingerprint than the resuming run's, or a point
+    payload does not reconstruct into a valid result."""
 
 
 class PoolError(ExperimentError):

@@ -20,7 +20,7 @@ from repro.experiments.config import ExperimentConfig, default_sizes
 from repro.experiments.options import PointPolicy, SweepOptions
 from repro.experiments.runner import (
     PointResult,
-    open_journal,
+    open_checkpoint,
     open_store,
     run_point,
     sweep,
@@ -35,7 +35,7 @@ __all__ = [
     "PointPolicy",
     "PointResult",
     "SweepOptions",
-    "open_journal",
+    "open_checkpoint",
     "open_store",
     "run_point",
     "sweep",

@@ -20,8 +20,8 @@ lattices work this column of the roadmap is grounded in.
 Points run through the ordinary :func:`~repro.experiments.runner.run_point`
 pipeline, one :class:`~repro.experiments.config.ExperimentConfig` per
 geometry, so the persistent point store caches cells across runs
-(every geometry has its own config fingerprint). Checkpoint journals
-are deliberately *not* used here: a journal binds to exactly one
+(every geometry has its own config fingerprint). Checkpoints are
+deliberately *not* used here: a checkpoint binds to exactly one
 fingerprint, and the lattice spans one per geometry.
 """
 

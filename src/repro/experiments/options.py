@@ -1,13 +1,12 @@
 """Typed option bundles for the experiment harness.
 
-Three PRs of resilience and parallelism features grew ``sweep`` /
-``table3`` / ``figure_series`` a sprawl of keyword arguments
-(``checkpoint=``, ``budget=``, ``parallel=``, ``point_timeout=``,
-``resume_force=`` — and this PR would have added two more). This
-module collapses the sprawl into two frozen dataclasses:
+Resilience and parallelism features once grew ``sweep`` / ``table3``
+/ ``figure_series`` a sprawl of keyword arguments (``checkpoint=``,
+``budget=``, ``parallel=``, ``point_timeout=``, ...). This module
+collapses the sprawl into two frozen dataclasses:
 
 * :class:`SweepOptions` — everything a *sweep* may carry: resilience
-  (checkpoint journal, per-point budget), parallelism (worker count,
+  (checkpoint directory, per-point budget), parallelism (worker count,
   hard point timeout), and performance (persistent point cache, trace
   chunk size). Passed as one ``options=`` argument.
 * :class:`PointPolicy` — everything *one point's* execution may carry;
@@ -36,7 +35,6 @@ from repro.resilience import PointBudget
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.perf.store import PointStore
-    from repro.resilience import CheckpointJournal
 
 __all__ = ["SweepOptions", "PointPolicy"]
 
@@ -48,15 +46,16 @@ class SweepOptions:
     ==================  ====================================================
     field               meaning
     ==================  ====================================================
-    ``checkpoint``      journal path or open ``CheckpointJournal``;
-                        completed points are recorded and skipped on resume
+    ``checkpoint``      checkpoint directory (or an open
+                        :class:`~repro.perf.store.PointStore`) bound to
+                        the sweep's configuration; every completed point,
+                        degraded ones too, is recorded there and skipped
+                        on resume
     ``budget``          per-point :class:`~repro.resilience.PointBudget`;
                         over-budget points degrade to the analytic model
     ``parallel``        worker-process count (1 = serial)
     ``point_timeout``   hard per-point wall clock, seconds (SIGKILL under
                         ``parallel``; an in-process wall budget serially)
-    ``resume_force``    adopt a checkpoint whose config fingerprint does
-                        not match this run
     ``point_cache``     persistent point store — a directory path or an
                         open :class:`~repro.perf.store.PointStore`; points
                         are reused across processes and across runs
@@ -74,11 +73,10 @@ class SweepOptions:
     ==================  ====================================================
     """
 
-    checkpoint: "str | os.PathLike | CheckpointJournal | None" = None
+    checkpoint: "str | os.PathLike | PointStore | None" = None
     budget: PointBudget | None = None
     parallel: int = 1
     point_timeout: float | None = None
-    resume_force: bool = False
     point_cache: "str | os.PathLike | PointStore | None" = None
     chunk_size: int | None = None
     trace_form: str = "auto"
@@ -105,13 +103,13 @@ class SweepOptions:
                 and self.point_cache is None and self.chunk_size is None
                 and self.trace_form == "auto")
 
-    def point_policy(self, journal=None, store=None) -> "PointPolicy":
+    def point_policy(self, checkpoint=None, store=None) -> "PointPolicy":
         """The per-point policy this sweep implies (serial path).
 
-        ``journal``/``store`` are the *opened* resources resolved from
+        ``checkpoint``/``store`` are the *opened* stores resolved from
         :attr:`checkpoint`/:attr:`point_cache` by the runner.
         """
-        return PointPolicy(budget=self.budget, journal=journal,
+        return PointPolicy(budget=self.budget, checkpoint=checkpoint,
                            store=store, chunk_size=self.chunk_size,
                            trace_form=self.trace_form)
 
@@ -126,9 +124,10 @@ class PointPolicy:
     ``analytic``    skip exact simulation; return the analytical miss-model
                     estimate (``degraded=True``)
     ``budget``      retry/degrade bounds for the exact simulation
-    ``journal``     open checkpoint journal consulted before simulating and
-                    recorded to after
-    ``store``       open persistent point store, likewise
+    ``checkpoint``  open checkpoint store consulted first and recorded to
+                    after (degraded results included)
+    ``store``       open persistent point store, consulted next and
+                    recorded to with exact results only
     ``chunk_size``  addresses per trace chunk (``None`` = default bound,
                     ``0`` = unbounded); affects memory/timing only — the
                     simulated statistics are bit-for-bit independent of it
@@ -140,12 +139,12 @@ class PointPolicy:
 
     The default policy (all fields default) is the memoized exact fast
     path. Any non-default field routes around the in-process memo: the
-    journal and store are then the caches of record.
+    checkpoint and store are then the caches of record.
     """
 
     analytic: bool = False
     budget: PointBudget | None = None
-    journal: "CheckpointJournal | None" = None
+    checkpoint: "PointStore | None" = None
     store: "PointStore | None" = None
     chunk_size: int | None = None
     trace_form: str = "auto"
@@ -164,7 +163,7 @@ class PointPolicy:
     def plain(self) -> bool:
         """True when the memoized exact fast path may serve this point."""
         return (not self.analytic and self.budget is None
-                and self.journal is None and self.store is None
+                and self.checkpoint is None and self.store is None
                 and self.chunk_size is None and self.trace_form == "auto")
 
 

@@ -17,8 +17,8 @@ Every point runs through one entry point::
 
 where the :class:`~repro.experiments.options.PointPolicy` names the
 machinery the point may use — nothing (the memoized exact fast path),
-the analytic miss model, a retry/degrade budget, a checkpoint journal,
-a persistent point store, a trace chunk bound — and sweeps carry the
+the analytic miss model, a retry/degrade budget, a checkpoint, a
+persistent point store, a trace chunk bound — and sweeps carry the
 same choices in one frozen :class:`~repro.experiments.options.SweepOptions`.
 (The pre-``PointPolicy`` shims — ``run_point_resilient``,
 ``run_point_analytic``, the ``sweep(checkpoint=...)`` keyword forms —
@@ -26,8 +26,11 @@ completed their deprecation cycle and are gone.)
 
 Caching is layered; a point is served by the first layer that has it:
 
-* **journal** — this sweep's fingerprinted JSONL checkpoint
-  (:mod:`repro.resilience.checkpoint`): crash/resume within one sweep;
+* **checkpoint** — this sweep's unbounded
+  :class:`~repro.perf.store.PointStore` directory, bound to one
+  configuration fingerprint (:func:`open_checkpoint`): crash/resume of
+  one sweep, and the only layer that serves degraded points (counted
+  as ``repro.runner.points{mode="journal"}``);
 * **store** — the persistent, content-addressed point cache
   (:mod:`repro.perf.store`): reuse across runs and across the parallel
   pool's processes, keyed by :func:`config_fingerprint` + point key;
@@ -41,18 +44,20 @@ points retry transient failures with backoff and **degrade** to the
 analytical miss model (``degraded=True``) on exhaustion; parallel
 sweeps run points in supervised child processes with crash isolation
 and quarantine (:mod:`repro.resilience.pool`); serial and parallel runs
-share journal format and fingerprint, so either resumes the other.
-Degraded points are journaled but never written to the point store —
-a stand-in must not outlive the incident that caused it.
+share checkpoint format and fingerprint, so either resumes the other.
+Degraded points are checkpointed but never written to the point cache
+— a stand-in must not outlive the incident that caused it. Every
+checkpoint or point-cache hit is re-validated (:func:`_store_lookup`);
+an entry that fails is quarantined and the point re-simulated.
 
-Durable sweeps (journal and/or store) additionally get **graceful
-draining** (:mod:`repro.resilience.signals`): the first SIGINT/SIGTERM
-lets in-flight points finish and journal, then raises
-:class:`~repro.errors.SweepInterrupted` (CLI exit 130) with the journal
-cleanly resumable; a second signal aborts immediately. Journal and
-store are checksummed and lock-protected (see
-:mod:`repro.resilience.checkpoint`, :mod:`repro.perf.store`), so
-concurrent sweeps may share both.
+Durable sweeps (checkpoint and/or point cache) additionally get
+**graceful draining** (:mod:`repro.resilience.signals`): the first
+SIGINT/SIGTERM lets in-flight points finish and be checkpointed, then
+raises :class:`~repro.errors.SweepInterrupted` (CLI exit 130) with the
+checkpoint cleanly resumable; a second signal aborts immediately.
+Entries are checksummed and written atomically
+(:mod:`repro.perf.store`), so concurrent sweeps may share both
+directories.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ import contextlib
 import logging
 import math
 import os
+import pathlib
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -86,7 +92,6 @@ from repro.obs import events, metrics
 from repro.perf.store import PointStore, StoreInfo
 from repro.perfmodel.model import RunCounts, predict
 from repro.resilience import (
-    CheckpointJournal,
     Deadline,
     PointBudget,
     fingerprint,
@@ -97,7 +102,7 @@ from repro.resilience.signals import DrainState, graceful_drain
 from repro.types import SelectionResult
 
 __all__ = ["PointResult", "RunnerCacheInfo", "run_point", "sweep",
-           "open_journal", "open_store", "config_fingerprint",
+           "open_checkpoint", "open_store", "config_fingerprint",
            "clear_cache", "cache_info"]
 
 log = logging.getLogger(__name__)
@@ -371,7 +376,7 @@ def _analytic_point(kernel: str, strategy: str, n: int,
 
 
 # ----------------------------------------------------------------------
-# fingerprints, journals, stores
+# fingerprints, checkpoints, stores
 # ----------------------------------------------------------------------
 
 def config_fingerprint(cfg: ExperimentConfig) -> str:
@@ -384,16 +389,50 @@ def config_fingerprint(cfg: ExperimentConfig) -> str:
     })
 
 
-def open_journal(path, cfg: ExperimentConfig | None = None, *,
-                 force: bool = False) -> CheckpointJournal:
-    """Open/create a checkpoint journal bound to ``cfg``'s fingerprint.
+def open_checkpoint(path, cfg: ExperimentConfig | None = None
+                    ) -> PointStore:
+    """Open/create the checkpoint directory at ``path`` for ``cfg``.
 
-    Raises :class:`~repro.errors.CheckpointError` when ``path`` holds a
-    journal written under a different configuration; ``force`` (the
-    CLI's ``--resume-force``) adopts such a journal with a warning.
+    A checkpoint is an unbounded :class:`~repro.perf.store.PointStore`
+    (eviction would throw resume progress away) bound to ``cfg``'s
+    fingerprint: the fingerprint subdirectory is created on open, and
+    a directory already holding another fingerprint's entries is
+    refused with :class:`~repro.errors.CheckpointError` naming both —
+    mixing configurations would corrupt the science. An existing
+    *file* at ``path`` (e.g. a JSONL journal from an older build) is
+    refused too: journals are no longer read. ``path`` may also be an
+    open store, which is checked the same way. Entries already present
+    are announced once per open (``checkpoint_resume`` event,
+    ``repro.resilience.checkpoint.resumed_points``).
     """
-    return CheckpointJournal.open(
-        path, config_fingerprint(cfg or ExperimentConfig()), force=force)
+    fp = config_fingerprint(cfg or ExperimentConfig())
+    if isinstance(path, PointStore):
+        store = path
+    else:
+        path = pathlib.Path(path)
+        if path.exists() and not path.is_dir():
+            raise CheckpointError(
+                f"checkpoint {path} is a file; checkpoint journals are no "
+                f"longer read — a checkpoint is a directory (pass a new "
+                f"path; a finished sweep's results are in its --csv)")
+        store = PointStore(path, max_bytes=0)
+    mine = store.fingerprint_dir(fp)
+    others = [d for d in store.fingerprints() if d != mine.name]
+    if others:
+        raise CheckpointError(
+            f"checkpoint {store.root} was written under a different "
+            f"configuration: checkpoint fingerprint "
+            f"{', '.join(others)} vs this run's {fp}; refusing to mix "
+            f"results — use another directory or match the original "
+            f"configuration")
+    mine.mkdir(parents=True, exist_ok=True)
+    done = sum(1 for _ in mine.glob("*.json"))
+    if done:
+        log.info("resuming from checkpoint %s: %d points already done",
+                 store.root, done)
+        events.emit("checkpoint_resume", path=str(store.root), points=done)
+        metrics.inc("repro.resilience.checkpoint.resumed_points", done)
+    return store
 
 
 def open_store(point_cache) -> PointStore | None:
@@ -401,13 +440,6 @@ def open_store(point_cache) -> PointStore | None:
     if point_cache is None or isinstance(point_cache, PointStore):
         return point_cache
     return PointStore(point_cache)
-
-
-def _resolve_journal(checkpoint, cfg: ExperimentConfig, *,
-                     force: bool) -> CheckpointJournal | None:
-    if checkpoint is None or isinstance(checkpoint, CheckpointJournal):
-        return checkpoint
-    return open_journal(checkpoint, cfg, force=force)
 
 
 # ----------------------------------------------------------------------
@@ -442,12 +474,12 @@ _INT_FIELDS = ("n", "nk", "l1_misses", "l2_misses", "refs", "di_p", "dj_p")
 def _check_payload(key, payload) -> PointResult:
     """Round-trip + type validation of a point payload for ``key``.
 
-    Worker payloads (and journal/store records) are only trusted after
-    they reconstruct into a :class:`PointResult` whose identity matches
-    the task key and whose fields carry the right types — a truncated or
-    type-mangled payload from a dying worker raises
+    Worker payloads (and checkpoint/store entries) are only trusted
+    after they reconstruct into a :class:`PointResult` whose identity
+    matches the task key and whose fields carry the right types — a
+    truncated or type-mangled payload from a dying worker raises
     :class:`~repro.errors.CheckpointError` and is treated as a failed
-    attempt, never journaled.
+    attempt, never checkpointed.
     """
     if not isinstance(payload, Mapping):
         raise CheckpointError(
@@ -499,14 +531,15 @@ def _check_payload(key, payload) -> PointResult:
 
 def _store_lookup(store: PointStore, fingerprint_: str,
                   key: tuple) -> PointResult | None:
-    """Validated store hit, or ``None`` (invalid entries read as misses).
+    """Validated checkpoint/store hit, or ``None`` (invalid entries read
+    as misses).
 
     An entry that parses and checksums but fails :func:`_check_payload`
     (wrong identity, mangled field types) is *semantically* poisoned:
     it must be quarantined, not merely skipped — a skipped entry stays
     on disk and re-reads as a miss forever (a degraded re-simulation is
-    never stored, so nothing ever overwrites it), poisoning every
-    future consumer.
+    never put to the point cache, so nothing ever overwrites it there),
+    poisoning every future consumer.
     """
     payload = store.get(fingerprint_, key)
     if payload is None:
@@ -519,6 +552,45 @@ def _store_lookup(store: PointStore, fingerprint_: str,
         store.discard(fingerprint_, key,
                       reason=f"failed payload validation: {exc}")
         return None
+
+
+def _record(checkpoint: PointStore, fingerprint_: str, key: tuple,
+            payload: dict) -> None:
+    """Put one finished point to the checkpoint.
+
+    This is the ``REPRO_FAULT_SUPERVISOR`` "record" site: the chaos
+    harness kills the supervisor just before or just after the entry
+    is durably written.
+    """
+    fault = faults.supervisor_check("record")
+    if fault is not None and fault.before:
+        faults.fire_supervisor(fault)
+    checkpoint.put(fingerprint_, key, payload)
+    metrics.inc("repro.resilience.checkpoint.records")
+    if fault is not None and not fault.before:
+        faults.fire_supervisor(fault)
+
+
+def _durable_lookup(checkpoint: PointStore | None, store: PointStore | None,
+                    fingerprint_: str, key: tuple
+                    ) -> tuple[PointResult | None, str]:
+    """First valid hit and its source: the checkpoint (``"journal"``),
+    then the point cache (``"store"``); ``(None, "")`` on a miss.
+
+    A point-cache hit is promoted into the checkpoint, so a resumed run
+    skips the point-cache round trip too.
+    """
+    if checkpoint is not None:
+        hit = _store_lookup(checkpoint, fingerprint_, key)
+        if hit is not None:
+            return hit, "journal"
+    if store is not None:
+        hit = _store_lookup(store, fingerprint_, key)
+        if hit is not None:
+            if checkpoint is not None:
+                _record(checkpoint, fingerprint_, key, _point_to_payload(hit))
+            return hit, "store"
+    return None, ""
 
 
 # ----------------------------------------------------------------------
@@ -564,8 +636,9 @@ def run_point(kernel: str, strategy: str, n: int,
 
     The default policy is the memoized exact fast path. A policy with
     ``analytic=True`` returns the miss-model estimate; one carrying a
-    journal and/or store serves the point from the first cache layer
-    that has it (journal, then store) and records new results back; a
+    checkpoint and/or store serves the point from the first layer that
+    has a valid entry (checkpoint, then store) and records new results
+    back — every result to the checkpoint, exact ones to the store; a
     ``budget`` adds retry/degrade bounds; ``chunk_size`` bounds trace
     memory. See :class:`~repro.experiments.options.PointPolicy`.
     """
@@ -584,35 +657,24 @@ def run_point(kernel: str, strategy: str, n: int,
             return result
 
         key = (kernel, strategy, n)
-        if policy.journal is not None:
-            payload = policy.journal.get(key)
-            if payload is not None:
-                result = _point_from_payload(payload)
-                sp["source"] = "journal"
-                sp["degraded"] = result.degraded
-                metrics.inc("repro.runner.points", mode="journal")
-                return result
-        if policy.store is not None:
-            result = _store_lookup(policy.store, config_fingerprint(cfg), key)
-            if result is not None:
-                sp["source"] = "store"
-                sp["degraded"] = result.degraded
-                metrics.inc("repro.runner.points", mode="store")
-                if policy.journal is not None:
-                    # Promote into this sweep's checkpoint so a resumed
-                    # run skips the store round-trip too.
-                    policy.journal.record(key, _point_to_payload(result))
-                return result
+        fp = config_fingerprint(cfg)
+        result, source = _durable_lookup(policy.checkpoint, policy.store,
+                                         fp, key)
+        if result is not None:
+            sp["source"] = source
+            sp["degraded"] = result.degraded
+            metrics.inc("repro.runner.points", mode=source)
+            return result
 
         result = _compute_point(kernel, strategy, n, cfg,
                                 policy.budget, policy.chunk_size,
                                 policy.trace_form)
         sp["degraded"] = result.degraded
         payload = _point_to_payload(result)
-        if policy.journal is not None:
-            policy.journal.record(key, payload)
+        if policy.checkpoint is not None:
+            _record(policy.checkpoint, fp, key, payload)
         if policy.store is not None and not result.degraded:
-            policy.store.put(config_fingerprint(cfg), key, payload)
+            policy.store.put(fp, key, payload)
         return result
 
 
@@ -635,7 +697,7 @@ def _pool_point_task(args) -> dict:
 
 def _sweep_parallel(kernel: str, strategies: list[str], sizes: list[int],
                     cfg: ExperimentConfig, *,
-                    journal: CheckpointJournal | None,
+                    checkpoint: PointStore | None,
                     store: PointStore | None,
                     budget: PointBudget | None,
                     workers: int,
@@ -647,11 +709,11 @@ def _sweep_parallel(kernel: str, strategies: list[str], sizes: list[int],
                     ) -> dict[str, list[PointResult]]:
     """Run sweep points through the supervised process pool.
 
-    Journal and store hits are served without spawning a worker;
+    Checkpoint and store hits are served without spawning a worker;
     everything else fans out. The supervisor validates every payload,
-    records it to the journal and store (single writer — workers never
-    touch either), and quarantines repeatedly-failing points to the
-    analytic model — the sweep always returns a full grid.
+    records it to the checkpoint and store (single writer — workers
+    never touch either), and quarantines repeatedly-failing points to
+    the analytic model — the sweep always returns a full grid.
     """
     from repro.resilience.pool import PoolPolicy, run_supervised
 
@@ -661,26 +723,14 @@ def _sweep_parallel(kernel: str, strategies: list[str], sizes: list[int],
     for strategy in strategies:
         for n in sizes:
             key = (kernel, strategy, n)
-            payload = journal.get(key) if journal is not None else None
-            if payload is not None:
-                results[key] = _check_payload(key, payload)
-                metrics.inc("repro.runner.points", mode="journal")
-                events.emit("point", kernel=kernel, strategy=strategy, n=n,
-                            degraded=results[key].degraded, source="journal")
-                if status is not None:
-                    status.point_done(degraded=results[key].degraded)
-                continue
-            hit = (_store_lookup(store, fp, key)
-                   if store is not None else None)
+            hit, source = _durable_lookup(checkpoint, store, fp, key)
             if hit is not None:
                 results[key] = hit
-                metrics.inc("repro.runner.points", mode="store")
+                metrics.inc("repro.runner.points", mode=source)
                 events.emit("point", kernel=kernel, strategy=strategy, n=n,
-                            degraded=hit.degraded, source="store")
+                            degraded=hit.degraded, source=source)
                 if status is not None:
                     status.point_done(degraded=hit.degraded)
-                if journal is not None:
-                    journal.record(key, _point_to_payload(hit))
                 continue
             tasks.append((key, (kernel, strategy, n, cfg, budget,
                                 chunk_size, trace_form)))
@@ -708,8 +758,8 @@ def _sweep_parallel(kernel: str, strategies: list[str], sizes: list[int],
         if status is not None:
             status.point_done(degraded=result.degraded,
                               quarantined=quarantined)
-        if journal is not None:
-            journal.record(key, payload)
+        if checkpoint is not None:
+            _record(checkpoint, fp, key, payload)
         if store is not None and not result.degraded:
             store.put(fp, key, payload)
 
@@ -725,7 +775,7 @@ def _sweep_parallel(kernel: str, strategies: list[str], sizes: list[int],
         if skipped:
             raise SweepInterrupted(
                 f"sweep drained after {drain.signal_name()}: "
-                f"{len(results)} point(s) completed and journaled, "
+                f"{len(results)} point(s) completed and checkpointed, "
                 f"{skipped} skipped (resume from the checkpoint)",
                 signum=drain.signum, completed=len(results),
                 skipped=skipped)
@@ -742,8 +792,8 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
     All execution choices travel in one frozen
     :class:`~repro.experiments.options.SweepOptions`:
 
-    * ``checkpoint``/``resume_force`` — completed points are journaled
-      and skipped on resume;
+    * ``checkpoint`` — completed points (degraded ones too) are put to
+      a checkpoint directory bound to ``cfg`` and skipped on resume;
     * ``budget``/``point_timeout`` — over-budget points degrade to the
       analytic model;
     * ``point_cache`` — points are served from / recorded to the
@@ -758,8 +808,8 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
       independent of it).
 
     With default options the fast memoized path is used unchanged.
-    Durable sweeps (a journal and/or store) drain gracefully on
-    SIGINT/SIGTERM: in-flight points finish and journal, then the sweep
+    Durable sweeps (a checkpoint and/or store) drain gracefully on
+    SIGINT/SIGTERM: in-flight points finish and are recorded, then the sweep
     raises :class:`~repro.errors.SweepInterrupted` — resumable, exit
     code 130 at the CLI. A plain in-memory sweep keeps ordinary Ctrl-C
     behaviour.
@@ -784,16 +834,19 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
                 log.warning("multiprocessing unavailable on this platform; "
                             "running the sweep serially")
                 use_parallel = False
-        journal = _resolve_journal(options.checkpoint, cfg,
-                                   force=options.resume_force)
+        checkpoint = options.checkpoint
+        if checkpoint is not None and not isinstance(checkpoint, PointStore):
+            # An open store (table3 opens one for all its kernels) was
+            # checked and announced by its open_checkpoint already.
+            checkpoint = open_checkpoint(checkpoint, cfg)
         store = open_store(options.point_cache)
-        durable = journal is not None or store is not None
+        durable = checkpoint is not None or store is not None
         drain_cm = (graceful_drain() if durable
                     else contextlib.nullcontext(None))
         with drain_cm as drain:
             if use_parallel:
                 out = _sweep_parallel(kernel, strategies, sizes, cfg,
-                                      journal=journal, store=store,
+                                      checkpoint=checkpoint, store=store,
                                       budget=options.budget,
                                       workers=options.parallel,
                                       point_timeout=options.point_timeout,
@@ -808,8 +861,8 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
                 # Serial degradation of --point-timeout: no supervisor to
                 # SIGKILL, so enforce it as an in-process wall budget.
                 budget = PointBudget(wall_seconds=options.point_timeout)
-            policy = PointPolicy(budget=budget, journal=journal, store=store,
-                                 chunk_size=options.chunk_size,
+            policy = PointPolicy(budget=budget, checkpoint=checkpoint,
+                                 store=store, chunk_size=options.chunk_size,
                                  trace_form=options.trace_form)
             results: dict[str, list[PointResult]] = {}
             completed = 0
@@ -821,7 +874,7 @@ def sweep(kernel: str, strategies: list[str], sizes: list[int],
                         raise SweepInterrupted(
                             f"sweep drained after {drain.signal_name()}: "
                             f"{completed} point(s) completed and "
-                            f"journaled, {remaining} skipped (resume "
+                            f"checkpointed, {remaining} skipped (resume "
                             f"from the checkpoint)",
                             signum=drain.signum, completed=completed,
                             skipped=remaining)

@@ -19,7 +19,7 @@ from repro.experiments.options import SweepOptions
 from repro.experiments.report import format_table, provenance_note
 from repro.experiments.runner import (
     PointResult,
-    _resolve_journal,
+    open_checkpoint,
     open_store,
     sweep,
 )
@@ -78,7 +78,7 @@ def table3(kernels: tuple[str, ...] = ("JACOBI", "REDBLACK", "RESID"),
            options: SweepOptions | None = None) -> Table3Result:
     """Table 3 sweep; execution choices travel in ``options``.
 
-    All kernels share one checkpoint journal and one point store
+    All kernels share one checkpoint and one point store
     (points are keyed by kernel/strategy/size), so a resumed or warm
     ``table3`` re-simulates only what no previous run had finished.
     See :class:`~repro.experiments.options.SweepOptions` for the full
@@ -87,12 +87,12 @@ def table3(kernels: tuple[str, ...] = ("JACOBI", "REDBLACK", "RESID"),
     options = options or SweepOptions()
     cfg = cfg or ExperimentConfig()
     sizes = sizes or default_sizes()
-    # Resolve the journal and store once so every kernel's sweep shares
-    # the same open resources (and the fingerprint check runs once).
+    # Open the checkpoint and store once so every kernel's sweep shares
+    # the same stores (and a bad checkpoint fails before any sweep).
     options = replace(
         options,
-        checkpoint=_resolve_journal(options.checkpoint, cfg,
-                                    force=options.resume_force),
+        checkpoint=(open_checkpoint(options.checkpoint, cfg)
+                    if options.checkpoint is not None else None),
         point_cache=open_store(options.point_cache))
     points: dict[str, dict[str, list[PointResult]]] = {}
     summaries = []

@@ -18,7 +18,7 @@ Design constraints:
   lines and rewrites the whole file through
   :func:`repro.resilience.atomic.atomic_write_text`, so a killed run
   leaves a parseable event file (the same durability contract as
-  checkpoint journals).
+  point stores).
 
 Event schema (stable, version 1)
 --------------------------------

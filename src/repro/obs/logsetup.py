@@ -11,7 +11,7 @@ flags      level               what you see on stderr
 ``-qq``    CRITICAL            nothing short of a crash
 ``-q``     WARNING             recoveries, degradations
 (none)     INFO                sweep progress, artifact paths
-``-v``     DEBUG               per-point selections, journal traffic
+``-v``     DEBUG               per-point selections, checkpoint traffic
 =========  ==================  ========================================
 
 Primary results (tables, figures, series) stay on **stdout** via

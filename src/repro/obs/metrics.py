@@ -27,15 +27,17 @@ name                                   type        labels
 ``repro.select.gcdpad.calls``          counter     —
 ``repro.select.pad.searched``          counter     —
 ``repro.runner.points``                counter     ``mode`` in exact|
-                                                   analytic|journal|store
+                                                   analytic|store|journal
+                                                   (journal = served from
+                                                   the checkpoint)
 ``repro.runner.memo.hits``             gauge       —
 ``repro.runner.memo.misses``           gauge       —
 ``repro.runner.memo.currsize``         gauge       —
 ``repro.resilience.retries``           counter     —
 ``repro.resilience.degraded``          counter     —
-``repro.resilience.checkpoint.*``      counter     resumed_points, records,
-                                                   recovered,
-                                                   orphans_removed
+``repro.resilience.checkpoint.*``      counter     resumed_points, records
+                                                   (one per checkpoint
+                                                   put)
 ``repro.pool.workers``                 gauge       —
 ``repro.pool.attempts``                counter     ``outcome`` in ok|crash|
                                                    timeout|hang|corrupt|

@@ -8,12 +8,11 @@ questions an experimenter asks after (or during) a sweep:
 * what kind of misses dominate? (cold/conflict/capacity per level,
   from the metrics snapshot)
 * did the run degrade? (retries, budget degradations, checkpoint
-  resumes/recoveries — the resilience timeline)
+  resumes — the resilience timeline)
 
 The reader is deliberately tolerant of a *trailing* malformed line —
 the artifact a killed run can leave on non-atomic filesystems — and
-strict about anything else, mirroring the checkpoint journal's
-recovery contract.
+strict about anything else.
 """
 
 from __future__ import annotations
@@ -94,7 +93,6 @@ class RunSummary:
     sim_refs: int = 0
     retries: int = 0
     checkpoint_resumed: int = 0
-    checkpoint_recovered: int = 0
     #: supervised-pool lifecycle (parallel sweeps only).
     worker_attempts: int = 0
     pool_retries: int = 0
@@ -188,8 +186,6 @@ def summarize(events: list[dict], metrics: dict | None = None,
             pass  # the point span_end carries the degraded flag
         elif kind == "checkpoint_resume":
             s.checkpoint_resumed += int(ev.get("points", 0))
-        elif kind == "checkpoint_recovered":
-            s.checkpoint_recovered += 1
         elif kind == "extrapolate":
             if ev.get("fired"):
                 s.extrapolation_fired += 1
@@ -262,16 +258,15 @@ def format_report(s: RunSummary) -> str:
 
     parts.append(
         f"points: {s.points} ({s.simulations} exact simulations, "
-        f"{s.journal_hits} from journal, {s.degraded} degraded)")
+        f"{s.journal_hits} from checkpoint, {s.degraded} degraded)")
     if s.sim_seconds:
         parts.append(
             f"throughput: {s.sim_refs} refs in {s.sim_seconds:.2f}s "
             f"simulate time = {s.refs_per_second:,.0f} addrs/s")
-    if s.retries or s.checkpoint_resumed or s.checkpoint_recovered:
+    if s.retries or s.checkpoint_resumed:
         parts.append(
             f"resilience: {s.retries} retries, "
-            f"{s.checkpoint_resumed} points resumed from checkpoint, "
-            f"{s.checkpoint_recovered} journal recoveries")
+            f"{s.checkpoint_resumed} points resumed from checkpoint")
     if s.worker_attempts or s.pool_retries or s.quarantined:
         parts.append(
             f"pool: {s.worker_attempts} worker attempts, "

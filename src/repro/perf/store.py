@@ -15,7 +15,14 @@ covers everything that affects a point's numbers (cache geometry,
 machine model, K extent, package version) and the hash covers the point
 key. A config change therefore lands in a different subdirectory and
 can never serve stale numbers; the reader additionally verifies the
-recorded key before returning a payload.
+recorded key and fingerprint before returning a payload, so an entry
+copied into another configuration's subdirectory is quarantined, not
+served as that configuration's numbers.
+
+A sweep's ``--checkpoint`` is an unbounded store of its own
+(:func:`repro.experiments.runner.open_checkpoint`): it binds to one
+fingerprint and also records degraded points, which the shared
+``--point-cache`` never holds.
 
 Integrity: every entry carries a CRC32C-style checksum
 (:mod:`repro.resilience.integrity`) over its canonical JSON body.
@@ -32,7 +39,8 @@ Durability and bounds:
   writer leaves either the old entry or the new one, never a torn
   file;
 * total size is bounded by ``max_bytes`` (default from
-  ``REPRO_POINT_CACHE_BYTES``, 256 MB; ``<= 0`` disables the bound) —
+  ``REPRO_POINT_CACHE_BYTES``, 256 MB; ``<= 0`` disables the bound; a
+  malformed value raises :class:`~repro.errors.ConfigurationError`) —
   after every put, least-recently-*used* entries (mtime order; a get
   refreshes its entry's mtime) are evicted until the store fits.
 
@@ -82,13 +90,28 @@ _SAFE = re.compile(r"[^A-Za-z0-9_.-]")
 
 
 def _env_max_bytes() -> int | None:
+    """Byte budget from ``REPRO_POINT_CACHE_BYTES``.
+
+    A malformed value raises :class:`~repro.errors.ConfigurationError`
+    (CLI exit 2) instead of silently becoming the default: a typo must
+    not turn an intended bound into 256 MB, or an intended "unbounded"
+    into evictions.
+    """
     raw = os.environ.get("REPRO_POINT_CACHE_BYTES", "")
+    if not raw.strip():
+        return DEFAULT_MAX_BYTES
     try:
-        v = int(raw) if raw.strip() else DEFAULT_MAX_BYTES
+        v = int(raw)
     except ValueError:
-        log.warning("ignoring non-integer REPRO_POINT_CACHE_BYTES=%r", raw)
-        v = DEFAULT_MAX_BYTES
+        raise ConfigurationError(
+            f"REPRO_POINT_CACHE_BYTES must be an integer byte count "
+            f"(<= 0 = unbounded), got {raw!r}") from None
     return v if v > 0 else None
+
+
+def fingerprint_dirname(fingerprint) -> str:
+    """Name of the subdirectory filing entries under ``fingerprint``."""
+    return _SAFE.sub("_", str(fingerprint))[:64]
 
 
 @dataclass(frozen=True)
@@ -135,18 +158,22 @@ class PointStore:
         self._lock = FileLock(self.root / ".lock")
 
     # ------------------------------------------------------------------
+    def fingerprint_dir(self, fingerprint: str) -> pathlib.Path:
+        """The subdirectory holding ``fingerprint``'s entries."""
+        return self.root / fingerprint_dirname(fingerprint)
+
     def _entry_path(self, fingerprint: str, key: tuple) -> pathlib.Path:
         canon = json.dumps(list(key), separators=(",", ":"))
         digest = hashlib.sha256(canon.encode()).hexdigest()[:12]
         human = _SAFE.sub("_", "-".join(str(p) for p in key))[:80]
-        fp = _SAFE.sub("_", fingerprint)[:64]
-        return self.root / fp / f"{human}-{digest}.json"
+        return self.fingerprint_dir(fingerprint) / f"{human}-{digest}.json"
 
     def get(self, fingerprint: str, key: tuple) -> dict | None:
         """Payload for ``key`` under ``fingerprint``, or ``None``.
 
-        A hit refreshes the entry's mtime (the LRU clock). A corrupt,
-        mismatched, or checksum-failing entry is quarantined (with
+        A hit refreshes the entry's mtime (the LRU clock). A corrupt or
+        checksum-failing entry, or one recording another key or
+        fingerprint than it is filed under, is quarantined (with
         provenance) and reads as a miss — the caller just re-simulates
         and overwrites it. A pre-checksum (v1) entry that validates is
         upgraded to the current format in place.
@@ -171,6 +198,10 @@ class PointStore:
                 metrics.inc("repro.integrity.crc_failures", artifact="store")
                 raise ValueError(
                     f"checksum mismatch in point-cache entry {path}")
+            if entry.get("fingerprint") != fingerprint:
+                raise ValueError(
+                    f"point-cache entry {path} records fingerprint "
+                    f"{entry.get('fingerprint')!r}, not {fingerprint!r}")
         except FileNotFoundError:
             self._miss(key)
             return None
@@ -223,6 +254,13 @@ class PointStore:
         return True
 
     # ------------------------------------------------------------------
+    def fingerprints(self) -> list[str]:
+        """Names of the fingerprint subdirectories present, sorted."""
+        if not self.root.is_dir():
+            return []
+        return sorted(d.name for d in self.root.iterdir()
+                      if d.is_dir() and not d.name.startswith("."))
+
     def _entries(self) -> list[tuple[float, int, pathlib.Path]]:
         """(mtime, size, path) for every entry currently on disk.
 

@@ -3,8 +3,8 @@
 POSIX ``rename(2)`` within one filesystem is atomic, so readers (and a
 process killed mid-write) observe either the old content or the new —
 never a half-written artifact. Every durable artifact this package
-produces (checkpoint journals, point-store entries, CSV exports,
-benchmark tables) funnels through here.
+produces (point-store entries, run manifests, CSV exports, benchmark
+tables) funnels through here.
 
 Durability is two-level: the temp file is fsync'd before the swap (the
 *bytes* survive power loss) and the containing directory is fsync'd
@@ -21,10 +21,8 @@ IO fault layer (:mod:`repro.resilience.faults`, ``REPRO_FAULT_IO``)
 scripts exactly those failures so the contract is proven by tests.
 
 A writer killed between ``mkstemp`` and ``os.replace`` leaves its temp
-file behind; :func:`cleanup_orphan_tmp` sweeps those on the next open
-of the artifact (the caller must hold the artifact's lock or otherwise
-own the path — a *live* concurrent writer's temp file is
-indistinguishable from an orphan).
+file behind; ``repro fsck`` reports it as an orphan and ``--repair``
+removes it.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import tempfile
 from repro.errors import StorageError
 from repro.resilience import faults
 
-__all__ = ["atomic_write_text", "cleanup_orphan_tmp"]
+__all__ = ["atomic_write_text"]
 
 
 def _fsync_dir(dirpath: pathlib.Path) -> None:
@@ -114,24 +112,3 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
         raise
     return path
 
-
-def cleanup_orphan_tmp(path: str | pathlib.Path) -> list[pathlib.Path]:
-    """Remove orphaned ``<name>.*.tmp`` siblings of ``path``.
-
-    These are the droppings of writers killed between ``mkstemp`` and
-    ``os.replace``. Only call for an artifact the caller exclusively
-    owns (e.g. a checkpoint journal whose lock is held): a *live*
-    concurrent writer's temp file is indistinguishable from an orphan.
-    Returns the paths removed.
-    """
-    path = pathlib.Path(path)
-    removed: list[pathlib.Path] = []
-    if not path.parent.is_dir():
-        return removed
-    for tmp in path.parent.glob(path.name + ".*.tmp"):
-        try:
-            tmp.unlink()
-        except OSError:
-            continue
-        removed.append(tmp)
-    return removed

@@ -1,8 +1,8 @@
 """Deterministic fault injection for resilience testing.
 
 Long sweeps fail in boring, reproducible ways: a process dies on the
-k-th simulation, a point stalls past its deadline, a checkpoint file is
-truncated by a power cut. This module scripts those failures exactly so
+k-th simulation, a point stalls past its deadline, a checkpoint entry
+is truncated by a power cut. This module scripts those failures exactly so
 tests can prove that resume-after-crash and budget-triggered
 degradation actually work — no monkeypatching of library internals, no
 timing races.
@@ -19,9 +19,8 @@ actions scheduled for that call index: raise an exception (a crash or a
 :class:`repro.errors.BudgetExceededError`). With no injector installed
 :func:`tick` is a no-op, so production sweeps pay one ``None`` check.
 
-:func:`corrupt_journal` mangles checkpoint files the way real crashes
-do (truncated trailing line, appended garbage, clobbered header) for
-the recovery tests.
+:func:`corrupt_file` mangles durable files the way real crashes do
+(torn tail, appended garbage) for the recovery tests.
 
 **Process-level faults** target the supervised worker pool
 (:mod:`repro.resilience.pool`), whose failure modes — a SIGKILL'd
@@ -51,7 +50,7 @@ operations within one process (``0`` = every one).
 
 **Supervisor faults** (``REPRO_FAULT_SUPERVISOR=action:nth[:before]``,
 action in ``kill|term|int``) signal the *supervisor itself* at the
-``nth`` journal-record boundary — ``kill`` is the chaos harness's
+``nth`` checkpoint-record boundary — ``kill`` is the chaos harness's
 supervisor crash (resume must be lossless), ``term``/``int`` exercise
 graceful draining. ``:before`` fires before the record is durably
 flushed, losing the in-flight point.
@@ -72,7 +71,7 @@ from typing import Callable, Iterator
 from repro.errors import ConfigurationError
 
 __all__ = ["FakeClock", "FaultInjector", "inject", "tick",
-           "active_clock", "active_sleep", "corrupt_journal",
+           "active_clock", "active_sleep", "corrupt_file",
            "WorkerFault", "WORKER_FAULT_ENV", "worker_fault_plan",
            "apply_worker_fault", "corrupt_payload", "reset_in_child",
            "IOFault", "IOFaultPlan", "IO_FAULT_ENV", "io_fault_plan",
@@ -295,7 +294,7 @@ def reset_in_child() -> None:
 
 
 # ----------------------------------------------------------------------
-# IO faults (atomic writes, journal/store reads)
+# IO faults (atomic writes, store reads)
 # ----------------------------------------------------------------------
 
 #: Environment variable holding the default IO fault plan.
@@ -350,7 +349,7 @@ def io_fault_plan(spec: str | None = None) -> IOFaultPlan:
 
     ``spec`` is a comma/semicolon-separated list of
     ``mode:path_glob[:nth]`` entries, e.g.
-    ``torn_write:*.jsonl:2, eio:point-cache*``. ``nth`` counts matching
+    ``torn_write:ckpt/*:2, eio:point-cache*``. ``nth`` counts matching
     IO operations 1-based within one process (``0`` = every one).
     """
     if spec is None:
@@ -432,7 +431,7 @@ _SUPERVISOR_ACTIONS = {"kill": signal.SIGKILL, "term": signal.SIGTERM,
 
 @dataclass(frozen=True)
 class SupervisorFault:
-    """One scripted supervisor failure at a journal-record boundary.
+    """One scripted supervisor failure at a checkpoint-record boundary.
 
     ``action`` is ``kill`` (SIGKILL self — the chaos harness's
     supervisor crash), ``term`` or ``int`` (SIGTERM/SIGINT self — the
@@ -467,7 +466,7 @@ def supervisor_fault_plan(spec: str | None = None) -> SupervisorFaultPlan:
 
     ``spec`` entries are ``action:nth[:before]`` with ``action`` in
     ``kill|term|int`` — e.g. ``kill:3`` SIGKILLs the supervisor right
-    after the 3rd journal record is flushed; ``kill:3:before`` right
+    after the 3rd checkpoint record is written; ``kill:3:before`` right
     before it (losing the in-flight point).
     """
     if spec is None:
@@ -547,13 +546,13 @@ def fire_supervisor(fault: SupervisorFault) -> None:
     os.kill(os.getpid(), _SUPERVISOR_ACTIONS[fault.action])
 
 
-def corrupt_journal(path: str | pathlib.Path,
-                    mode: str = "truncate") -> pathlib.Path:
-    """Damage a checkpoint journal the way real interruptions do.
+def corrupt_file(path: str | pathlib.Path,
+                 mode: str = "truncate") -> pathlib.Path:
+    """Damage a durable file the way real interruptions do.
 
     ``truncate`` cuts the last line in half (kill during a non-atomic
-    write); ``garbage`` appends a non-JSON line; ``header`` clobbers
-    the first line. Returns the path.
+    write or copy); ``garbage`` appends a non-JSON line. Returns the
+    path.
     """
     path = pathlib.Path(path)
     text = path.read_text()
@@ -563,12 +562,7 @@ def corrupt_journal(path: str | pathlib.Path,
         path.write_text("\n".join(lines) + "\n")
     elif mode == "garbage":
         path.write_text(text + "!!! not json {{{" + "\n")
-    elif mode == "header":
-        lines = text.splitlines()
-        lines[0] = "corrupted header"
-        path.write_text("\n".join(lines) + "\n")
     else:
         raise ConfigurationError(
-            f"unknown corruption mode {mode!r}; "
-            f"valid: truncate, garbage, header")
+            f"unknown corruption mode {mode!r}; valid: truncate, garbage")
     return path

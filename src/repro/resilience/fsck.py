@@ -1,6 +1,7 @@
 """``repro fsck``: verify (and optionally repair) durable artifacts.
 
-Checkpoint journals and point stores carry per-record checksums
+Point stores (a ``--point-cache`` or a ``--checkpoint`` directory) and
+run ledgers carry per-record checksums
 (:mod:`repro.resilience.integrity`); the readers quarantine damage
 lazily as they trip over it. ``fsck`` is the eager counterpart: walk
 an artifact end to end, report the integrity status of every record,
@@ -10,36 +11,31 @@ nonzero exit code, which is what lets CI gate on "the chaos run left
 no corruption behind".
 
 Verification is read-only and lock-free (atomic writers guarantee a
-reader sees whole files). Repair takes the artifact's advisory lock —
-it rewrites the journal / moves store entries, and must not interleave
-with a live sweep's own rewrite.
+reader sees whole files). Store repair takes the store's advisory lock
+while it moves entries, so it cannot interleave with an eviction.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import logging
 import pathlib
 from dataclasses import dataclass, field
 
 from repro.errors import FsckError
-from repro.resilience import checkpoint as _ckpt
-from repro.resilience.atomic import atomic_write_text
-from repro.resilience.integrity import (QUARANTINE_DIR, attach_crc,
-                                        quarantine_file, verify_crc)
+from repro.resilience.integrity import (QUARANTINE_DIR, quarantine_file,
+                                        verify_crc)
 from repro.resilience.locking import FileLock
 
-__all__ = ["FsckFinding", "FsckReport", "fsck_path", "fsck_journal",
-           "fsck_store", "fsck_run", "fsck_ledger"]
-
-log = logging.getLogger(__name__)
+__all__ = ["FsckFinding", "FsckReport", "fsck_path", "fsck_store",
+           "fsck_run", "fsck_ledger"]
 
 
 @dataclass(frozen=True)
 class FsckFinding:
     """One record's verdict: where, what state, and why."""
 
-    where: str          # "line 7" / entry path relative to the store root
+    where: str          # path relative to the artifact root
     status: str         # ok | legacy | damaged | repaired | orphan
     detail: str = ""
 
@@ -53,10 +49,10 @@ class FsckReport:
     """Everything ``repro fsck`` learned about one artifact."""
 
     target: str
-    kind: str  # "journal" | "store" | "run" | "ledger"
+    kind: str  # "store" | "run" | "ledger"
     findings: list[FsckFinding] = field(default_factory=list)
     repaired: bool = False
-    #: Fatal structural problem (unreadable, no header, ...), if any.
+    #: Fatal structural problem (not a directory, no manifest, ...).
     fatal: str | None = None
 
     def add(self, where: str, status: str, detail: str = "") -> None:
@@ -94,10 +90,11 @@ def fsck_path(path: str | pathlib.Path, *, repair: bool = False,
               ) -> FsckReport:
     """Dispatch on artifact shape.
 
-    A file is a checkpoint journal. A directory holding a
-    ``manifest.json`` is one ledgered run; a directory whose children
-    hold them is a run ledger (every run is checked); anything else
-    directory-shaped is a point store.
+    A directory holding a ``manifest.json`` is one ledgered run; a
+    directory whose children hold them is a run ledger (every run is
+    checked); any other directory is a point store — a
+    ``--point-cache`` or a ``--checkpoint``. Files are refused: the
+    JSONL checkpoint journal is no longer a format this build reads.
     """
     path = pathlib.Path(path)
     if path.is_dir():
@@ -109,119 +106,13 @@ def fsck_path(path: str | pathlib.Path, *, repair: bool = False,
                if d.is_dir()):
             return fsck_ledger(path, repair=repair)
         return fsck_store(path, repair=repair)
-    if path.is_file():
-        return fsck_journal(path, repair=repair)
-    raise FsckError(f"{path}: no such journal file, store directory, "
-                    f"run directory or run ledger")
-
-
-# ----------------------------------------------------------------------
-def fsck_journal(path: str | pathlib.Path, *,
-                 repair: bool = False) -> FsckReport:
-    """Verify every record of a checkpoint journal; optionally repair.
-
-    Repair quarantines the original file (provenance preserved) and
-    rewrites the journal, at the current format version, from exactly
-    the records that verified — under the journal's lock so a live
-    writer cannot interleave.
-    """
-    path = pathlib.Path(path)
-    report = FsckReport(target=str(path), kind="journal")
-    try:
-        raw = path.read_text().splitlines()
-    except OSError as exc:
-        report.fatal = f"unreadable: {exc}"
-        return report
-    while raw and not raw[-1].strip():
-        raw.pop()
-
-    good: list[dict] = []
-    header: dict | None = None
-    for i, line in enumerate(raw):
-        where = f"line {i + 1}"
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict) or "kind" not in obj:
-                raise ValueError("not a journal record")
-        except ValueError as exc:
-            report.add(where, "damaged", f"unparseable: {exc}")
-            continue
-        if i == 0:
-            if obj.get("kind") != "header":
-                report.fatal = "first line is not a journal header"
-                report.add(where, "damaged", "missing header")
-                continue
-            header = obj
-            version = obj.get("version")
-            if not isinstance(version, int) or version < 1:
-                report.fatal = f"invalid format version {version!r}"
-                report.add(where, "damaged", report.fatal)
-            elif version > _ckpt._FORMAT_VERSION:
-                report.fatal = (f"journal format v{version} is newer than "
-                                f"this build (v{_ckpt._FORMAT_VERSION})")
-                report.add(where, "damaged", report.fatal)
-            elif version < _ckpt._CRC_VERSION:
-                report.add(where, "legacy",
-                           f"v{version} header (pre-checksum)")
-            elif not verify_crc(obj):
-                report.fatal = "header checksum mismatch"
-                report.add(where, "damaged", report.fatal)
-            else:
-                report.add(where, "ok", "header")
-            continue
-        if obj.get("kind") != "point" or "key" not in obj:
-            report.add(where, "damaged",
-                       f"unexpected record kind {obj.get('kind')!r}")
-            continue
-        rv = obj.get("v", 1)
-        if not isinstance(rv, int) or rv < 1 or rv > _ckpt._FORMAT_VERSION:
-            report.add(where, "damaged", f"invalid record version {rv!r}")
-            continue
-        if rv >= _ckpt._CRC_VERSION and not verify_crc(obj):
-            report.add(where, "damaged", "checksum mismatch")
-            continue
-        status = "ok" if rv >= _ckpt._CRC_VERSION else "legacy"
-        report.add(where, status, f"key={obj['key']!r}")
-        good.append(obj)
-
-    if report.fatal and header is None:
-        # Nothing trustworthy to rebuild from; repair would fabricate a
-        # journal. Quarantine-only is still possible by hand.
-        return report
-
-    damaged = [f for f in report.findings if f.status == "damaged"]
-    if repair and damaged:
-        _repair_journal(path, header or {}, good, report)
-    for tmp in path.parent.glob(path.name + ".*.tmp"):
-        report.add(tmp.name, "orphan", "temp file from a killed writer")
-        if repair:
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - racing writer
-                pass
-    return report
-
-
-def _repair_journal(path: pathlib.Path, header: dict, good: list[dict],
-                    report: FsckReport) -> None:
-    with FileLock(path.with_name(path.name + ".lock")):
-        quarantine_file(path, reason="fsck --repair: journal contained "
-                        "damaged records", artifact="journal",
-                        root=path.parent)
-        lines = [json.dumps(attach_crc(
-            {"kind": "header", "version": _ckpt._FORMAT_VERSION,
-             "fingerprint": header.get("fingerprint")}))]
-        for rec in good:
-            lines.append(json.dumps(attach_crc(
-                {"kind": "point", "v": _ckpt._FORMAT_VERSION,
-                 "key": rec["key"], "payload": rec.get("payload", {})})))
-        atomic_write_text(path, "\n".join(lines) + "\n")
-    report.repaired = True
-    for i, f in enumerate(report.findings):
-        if f.status == "damaged" and not report.fatal:
-            report.findings[i] = FsckFinding(f.where, "repaired", f.detail)
-    log.info("fsck repaired %s: %d good record(s) kept, damage quarantined",
-             path, len(good))
+    if path.exists():
+        raise FsckError(
+            f"{path} is a file; checkpoint journals are no longer read "
+            f"(a checkpoint is a store directory) — fsck checks a store, "
+            f"a run ledger or a run directory")
+    raise FsckError(f"{path}: no such store directory, run directory or "
+                    f"run ledger")
 
 
 # ----------------------------------------------------------------------
@@ -233,27 +124,30 @@ def fsck_store(root: str | pathlib.Path, *,
     if not root.is_dir():
         report.fatal = "not a directory"
         return report
-    quarantined = 0
-    for sub in sorted(root.iterdir()):
-        if not sub.is_dir() or sub.name.startswith("."):
-            continue
-        for p in sorted(sub.glob("*.json")):
-            where = str(p.relative_to(root))
-            status, detail = _check_store_entry(p)
-            if status == "damaged" and repair:
-                quarantine_file(p, reason=f"fsck --repair: {detail}",
-                                artifact="store", root=root)
-                status = "repaired"
-                quarantined += 1
-            report.add(where, status, detail)
-        for tmp in sub.glob("*.tmp"):
-            report.add(str(tmp.relative_to(root)), "orphan",
-                       "temp file from a killed writer")
-            if repair:
-                try:
-                    tmp.unlink()
-                except OSError:  # pragma: no cover - racing writer
-                    pass
+    # Repair moves entries: hold the store lock so no eviction runs
+    # over the same files meanwhile.
+    lock = FileLock(root / ".lock") if repair else contextlib.nullcontext()
+    with lock:
+        for sub in sorted(root.iterdir()):
+            if not sub.is_dir() or sub.name.startswith("."):
+                continue
+            for p in sorted(sub.glob("*.json")):
+                where = str(p.relative_to(root))
+                status, detail = _check_store_entry(p)
+                if status == "damaged" and repair:
+                    quarantine_file(p, reason=f"fsck --repair: {detail}",
+                                    artifact="store", root=root)
+                    status = "repaired"
+                    report.repaired = True
+                report.add(where, status, detail)
+            for tmp in sub.glob("*.tmp"):
+                report.add(str(tmp.relative_to(root)), "orphan",
+                           "temp file from a killed writer")
+                if repair:
+                    try:
+                        tmp.unlink()
+                    except OSError:  # pragma: no cover - racing writer
+                        pass
     qdir = root / QUARANTINE_DIR
     if qdir.is_dir():
         held = sum(1 for q in qdir.iterdir()
@@ -261,8 +155,6 @@ def fsck_store(root: str | pathlib.Path, *,
         if held:
             report.add(QUARANTINE_DIR, "ok",
                        f"{held} previously quarantined artifact(s) held")
-    if quarantined:
-        report.repaired = True
     return report
 
 
@@ -285,6 +177,10 @@ def _check_store_entry(path: pathlib.Path) -> tuple[str, str]:
         return "damaged", "malformed entry (key/payload)"
     if v >= _store._ENTRY_VERSION and not verify_crc(entry):
         return "damaged", "checksum mismatch"
+    if _store.fingerprint_dirname(entry.get("fingerprint")) \
+            != path.parent.name:
+        return "damaged", (f"filed under {path.parent.name}, records "
+                           f"fingerprint {entry.get('fingerprint')!r}")
     if v < _store._ENTRY_VERSION:
         return "legacy", f"v{v} entry (pre-checksum; upgraded on next hit)"
     return "ok", f"key={entry['key']!r}"

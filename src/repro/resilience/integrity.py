@@ -1,14 +1,13 @@
-"""Record checksums and quarantine for durable artifacts.
+"""Record checksums, configuration fingerprints and quarantine.
 
-Every durable record the harness writes — a checkpoint journal line, a
-point-store entry — carries a CRC32C-style checksum over its canonical
-JSON body (sorted keys, minimal separators, the ``crc`` field itself
+Every durable record the harness writes — a point-store entry (the
+``--point-cache`` and the ``--checkpoint`` are both stores), a run
+manifest — carries a CRC32C-style checksum over its canonical JSON
+body (sorted keys, minimal separators, the ``crc`` field itself
 excluded). A reader recomputes the checksum before trusting a record;
 a mismatch means the filesystem lied (torn write on a non-atomic copy,
 bit rot, a partial ``cp``) and the record is **never silently served**:
-it is either surfaced as a typed error (journal, where dropping a
-record would corrupt the science) or quarantined with provenance and
-re-simulated (store, where an entry is just a cache).
+it is quarantined with provenance and the point is re-simulated.
 
 Quarantine moves the damaged file under a ``.quarantine/`` directory
 next to the artifact and writes a ``<name>.meta.json`` sidecar
@@ -16,8 +15,8 @@ recording what was damaged, why, when, and by which process — enough
 provenance to debug the underlying disk or copy step later. Everything
 is counted under ``repro.integrity.*`` metrics:
 
-* ``repro.integrity.crc_failures{artifact=store|journal}``
-* ``repro.integrity.quarantined{artifact=store|journal}``
+* ``repro.integrity.crc_failures{artifact=store}``
+* ``repro.integrity.quarantined{artifact=store|run|shard}``
 
 The checksum is ``zlib.crc32`` (the stdlib's castagnoli-class CRC; no
 new dependencies), rendered as 8 lowercase hex digits.
@@ -25,6 +24,7 @@ new dependencies), rendered as 8 lowercase hex digits.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -32,13 +32,24 @@ import time
 import zlib
 from typing import Any, Mapping
 
-__all__ = ["record_crc", "attach_crc", "verify_crc", "quarantine_file",
-           "QUARANTINE_DIR"]
+__all__ = ["fingerprint", "record_crc", "attach_crc", "verify_crc",
+           "quarantine_file", "QUARANTINE_DIR"]
 
 #: Directory name (sibling of / inside the artifact) holding damaged
 #: records moved out of service. Starts with a dot so store entry scans
 #: and LRU eviction never pick quarantined files back up.
 QUARANTINE_DIR = ".quarantine"
+
+
+def fingerprint(payload: Mapping[str, Any]) -> str:
+    """Stable hex digest of a JSON-serializable configuration payload.
+
+    Key order does not matter; non-JSON values are stringified (their
+    ``repr`` participates in the hash, which is what frozen dataclass
+    configs want).
+    """
+    blob = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def record_crc(body: Mapping[str, Any]) -> str:

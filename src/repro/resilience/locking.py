@@ -1,12 +1,12 @@
 """Advisory cross-process file locking for shared durable state.
 
 Multiple sweeps — and, per the ROADMAP, the future tile-advisor
-service — share one :class:`~repro.perf.store.PointStore` and may
-resume one checkpoint journal. Their mutations must not interleave:
-two processes each rewriting a journal from their in-memory view would
-silently drop each other's records, and two concurrent LRU evictions
-can thrash a store. :class:`FileLock` serializes those critical
-sections.
+service — share one :class:`~repro.perf.store.PointStore` (a point
+cache or a checkpoint). Entries are immutable files written
+atomically, so puts need no lock; the multi-step mutations do — two
+concurrent LRU evictions can thrash a store, and ``fsck --repair``
+must not move entries under an eviction. :class:`FileLock` serializes
+those critical sections.
 
 Two implementations, chosen at runtime:
 
@@ -47,8 +47,8 @@ __all__ = ["FileLock", "DEFAULT_TIMEOUT", "DEFAULT_STALE_SECONDS",
 
 log = logging.getLogger(__name__)
 
-#: Default acquisition wait. Journal/store critical sections are a
-#: single file rewrite, so contention clears in milliseconds; a long
+#: Default acquisition wait. Store critical sections are one directory
+#: scan plus unlinks, so contention clears in milliseconds; a long
 #: wait here means a wedged (but live) holder, which we surface.
 DEFAULT_TIMEOUT = 30.0
 
@@ -93,8 +93,8 @@ class FileLock:
     ``<artifact>.lock`` or ``<storedir>/.lock``). Use as a context
     manager::
 
-        with FileLock(journal_path.with_name(journal_path.name + ".lock")):
-            ...read-merge-write the journal...
+        with FileLock(store_root / ".lock"):
+            ...evict or repair the store...
 
     Not reentrant: acquiring a lock this process already holds raises
     :class:`~repro.errors.LockError` immediately (it would deadlock the

@@ -20,7 +20,7 @@ child process** under a supervisor that:
   complete with a full result set;
 * remains the **single writer** of durable state: workers return
   payloads over the pipe and the supervisor's ``on_result`` callback
-  (which owns the checkpoint journal) records them — journal-safe
+  (which owns the checkpoint) records them — checkpoint-safe
   concurrency by construction.
 
 The pool is generic: it executes any picklable ``fn(args) -> payload``
@@ -125,7 +125,7 @@ class TaskOutcome:
     attempts: int = 0
     quarantined: bool = False
     #: Never attempted (or abandoned pre-retry) because a graceful
-    #: drain was requested; the task is journal-resumable.
+    #: drain was requested; the task is checkpoint-resumable.
     skipped: bool = False
     #: One human-readable reason per failed attempt, in order.
     failures: list[str] = field(default_factory=list)
@@ -247,7 +247,7 @@ def run_supervised(fn: Callable[[Any], dict],
     and the bad payload is discarded, never delivered. ``fallback(key,
     args)`` supplies a quarantined task's stand-in payload, computed in
     the supervisor. ``on_result(key, payload, quarantined)`` fires for
-    every delivered payload, in completion order — the journal hook.
+    every delivered payload, in completion order — the checkpoint hook.
 
     Returns one :class:`TaskOutcome` per task, in submission order.
     ``fault_plan`` defaults to the ``REPRO_FAULT_WORKER`` environment
@@ -255,7 +255,7 @@ def run_supervised(fn: Callable[[Any], dict],
 
     ``drain`` (a :class:`~repro.resilience.signals.DrainState`) makes
     the pool signal-aware: once a drain is requested, no new workers
-    launch, in-flight workers finish (and journal via ``on_result``),
+    launch, in-flight workers finish (and record via ``on_result``),
     and everything still pending is marked ``skipped`` — resumable,
     not failed.
 

@@ -1,11 +1,11 @@
-"""Graceful SIGINT/SIGTERM draining for journaled sweeps.
+"""Graceful SIGINT/SIGTERM draining for checkpointed sweeps.
 
 A long sweep interrupted by Ctrl-C or a scheduler's SIGTERM should not
 die mid-point with work in flight: points that are already simulating
-represent real compute, and the checkpoint journal makes everything
+represent real compute, and the checkpoint makes everything
 finished durable. :func:`graceful_drain` installs handlers that convert
 the *first* SIGINT/SIGTERM into a drain request — the sweep stops
-starting new points, lets in-flight points finish and journal, then
+starting new points, lets in-flight points finish and be recorded, then
 raises :class:`repro.errors.SweepInterrupted` (the CLI maps it to the
 conventional exit code 130). A *second* signal aborts immediately via
 ``KeyboardInterrupt`` — the operator's escape hatch from a stuck drain.
@@ -13,7 +13,7 @@ conventional exit code 130). A *second* signal aborts immediately via
 Handlers are process-global state, so installation is restricted to the
 main thread (Python requires this) and is a no-op elsewhere: a sweep
 running inside a worker thread simply keeps default signal behaviour.
-Only journaled/stored sweeps install the drain — a plain in-memory
+Only checkpointed/stored sweeps install the drain — a plain in-memory
 sweep has nothing durable to protect, and Ctrl-C should kill it the
 ordinary way.
 """
@@ -74,7 +74,7 @@ def graceful_drain() -> Iterator[DrainState]:
             # Second signal: the operator wants out *now*.
             raise KeyboardInterrupt
         log.warning("received %s: draining — in-flight points will "
-                    "finish and be journaled; signal again to abort",
+                    "finish and be checkpointed; signal again to abort",
                     DrainState(signum=signum).signal_name())
 
     previous = {}

@@ -32,13 +32,13 @@ class TestParser:
 
     def test_resilience_flags(self):
         a = build_parser().parse_args(
-            ["table3", "--checkpoint", "out/t3.jsonl", "--resume",
+            ["table3", "--checkpoint", "out/t3-ckpt", "--resume",
              "--budget", "2.5"])
-        assert a.checkpoint == "out/t3.jsonl" and a.resume
+        assert a.checkpoint == "out/t3-ckpt" and a.resume
         assert a.budget == 2.5
         a = build_parser().parse_args(
-            ["figures", "--kernel", "RESID", "--checkpoint", "f.jsonl"])
-        assert a.checkpoint == "f.jsonl" and not a.resume
+            ["figures", "--kernel", "RESID", "--checkpoint", "f-ckpt"])
+        assert a.checkpoint == "f-ckpt" and not a.resume
 
     def test_lattice_args(self):
         a = build_parser().parse_args(
@@ -66,10 +66,6 @@ class TestParser:
         assert a.parallel == 4 and a.point_timeout == 30.0
         a = build_parser().parse_args(["figures"])
         assert a.parallel == 1 and a.point_timeout is None
-        assert not a.resume_force
-        a = build_parser().parse_args(
-            ["table3", "--checkpoint", "t.jsonl", "--resume-force"])
-        assert a.resume_force
 
 
 class TestValidation:
@@ -113,7 +109,7 @@ class TestValidation:
     def test_resume_with_missing_checkpoint(self, capsys, tmp_path):
         self.check(capsys,
                    ["table3", "--resume", "--checkpoint",
-                    str(tmp_path / "nope.jsonl")],
+                    str(tmp_path / "nope")],
                    "does not exist")
 
     def test_nonpositive_budget(self, capsys):
@@ -128,9 +124,28 @@ class TestValidation:
         self.check(capsys, ["table3", "--point-timeout", "0"],
                    "--point-timeout must be positive")
 
-    def test_resume_force_without_checkpoint(self, capsys):
-        self.check(capsys, ["table3", "--resume-force"],
-                   "--resume-force requires --checkpoint")
+    def test_checkpoint_naming_a_file_is_refused(self, capsys, tmp_path):
+        # A JSONL journal from an older build is neither read nor
+        # overwritten: a checkpoint is a directory.
+        old = tmp_path / "t3.jsonl"
+        old.write_text('{"kind": "header", "version": 3}\n')
+        self.check(capsys, ["table3", "--n", "40", "--checkpoint",
+                            str(old)],
+                   "journals are no longer read")
+        self.check(capsys, ["table3", "--n", "40", "--checkpoint",
+                            str(old), "--resume"],
+                   "a checkpoint is a directory")
+        assert old.read_text() == '{"kind": "header", "version": 3}\n'
+
+    def test_malformed_point_cache_bytes(self, capsys, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setenv("REPRO_POINT_CACHE_BYTES", "lots")
+        self.check(capsys, ["cache", "info", "--point-cache",
+                            str(tmp_path / "c")],
+                   "REPRO_POINT_CACHE_BYTES")
+        self.check(capsys, ["table3", "--n", "40", "--point-cache",
+                            str(tmp_path / "c")],
+                   "REPRO_POINT_CACHE_BYTES")
 
 
 class TestCommands:
@@ -187,9 +202,9 @@ class TestCommands:
     def test_table3_parallel_with_injected_kill(self, capsys, tmp_path,
                                                 monkeypatch):
         # End-to-end: a parallel sweep whose second worker is SIGKILLed
-        # still exits 0, prints the table, and journals every point.
+        # still exits 0, prints the table, and checkpoints every point.
         monkeypatch.setenv("REPRO_FAULT_WORKER", "kill:2")
-        ckpt = tmp_path / "t3.jsonl"
+        ckpt = tmp_path / "t3-ckpt"
         assert main(["table3", "--n", "40", "--parallel", "2",
                      "--checkpoint", str(ckpt)]) == 0
         out = capsys.readouterr().out

@@ -1,14 +1,13 @@
-"""Concurrent sweeps sharing one journal / one point store.
+"""Concurrent sweeps sharing one checkpoint / one point store.
 
-The locking layer's acceptance claim: two sweeps may share a PointStore
-and resume the same checkpoint journal *at the same time* without
-interleaved corruption. These tests run real concurrent processes
+The persistence layer's acceptance claim: two sweeps may share a
+PointStore and resume the same checkpoint directory *at the same time*
+without interleaved corruption. These tests run real concurrent processes
 (fork), let them race on the shared artifacts, and then hold the result
 to the same standard as the chaos harness — fsck clean, no lost or
 duplicated records, bit-identical results.
 """
 
-import json
 import os
 
 import pytest
@@ -16,11 +15,12 @@ import pytest
 from repro.cache.params import CacheParams
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.options import SweepOptions
-from repro.experiments.runner import config_fingerprint, sweep
+from repro.experiments.runner import config_fingerprint, open_checkpoint, sweep
 from repro.perf.store import PointStore
 from repro.perfmodel.machine import ULTRASPARC2_360
-from repro.resilience import CheckpointJournal, faults
-from repro.resilience.fsck import fsck_journal, fsck_store
+from repro.resilience import faults
+from repro.resilience.fsck import fsck_store
+from tests.helpers import checkpoint_entries
 
 KERNEL = "JACOBI"
 STRATEGIES = ["Orig", "GcdPad"]
@@ -31,6 +31,7 @@ CFG = ExperimentConfig(
     l1=CacheParams(size_bytes=2048, line_bytes=32, assoc=1, name="L1"),
     l2=CacheParams(size_bytes=65536, line_bytes=64, assoc=1, name="L2"),
     machine=ULTRASPARC2_360, nk=8)
+FP = config_fingerprint(CFG)
 
 EXIT_OK = 99
 EXIT_ERROR = 70
@@ -60,68 +61,64 @@ def _wait_ok(pid):
 
 
 class TestSharedJournal:
-    def test_two_journal_objects_merge_each_others_records(self, tmp_path):
-        """Writers on one file adopt, never clobber, the other's work."""
-        path = tmp_path / "j.jsonl"
-        fp = "shared-fp"
-        a = CheckpointJournal.open(path, fp)
-        b = CheckpointJournal.open(path, fp)
-        a.record(("K", 1), {"x": 1})
-        b.record(("K", 2), {"x": 2})   # merges a's record from disk
-        assert b.get(("K", 1)) == {"x": 1}
-        a.record(("K", 3), {"x": 3})   # merges b's record from disk
-        assert a.get(("K", 2)) == {"x": 2}
+    """Writers sharing one checkpoint directory."""
 
-        fresh = CheckpointJournal.open(path, fp)
-        assert {fresh.get(("K", i))["x"] for i in (1, 2, 3)} == {1, 2, 3}
-        assert fsck_journal(path).ok
+    def test_two_journal_objects_merge_each_others_records(self, tmp_path):
+        """Writers on one checkpoint see, never clobber, each other's
+        entries."""
+        a = open_checkpoint(tmp_path / "ck", CFG)
+        b = open_checkpoint(tmp_path / "ck", CFG)
+        a.put(FP, ("K", 1), {"x": 1})
+        b.put(FP, ("K", 2), {"x": 2})
+        assert b.get(FP, ("K", 1)) == {"x": 1}
+        a.put(FP, ("K", 3), {"x": 3})
+        assert a.get(FP, ("K", 2)) == {"x": 2}
+
+        fresh = open_checkpoint(tmp_path / "ck", CFG)
+        assert {fresh.get(FP, ("K", i))["x"] for i in (1, 2, 3)} == {1, 2, 3}
+        assert fsck_store(tmp_path / "ck").ok
 
     def test_cross_process_journal_writers(self, tmp_path):
-        """A forked writer's records survive the parent's next write."""
-        path = tmp_path / "j.jsonl"
-        fp = "shared-fp"
-        parent_j = CheckpointJournal.open(path, fp)
+        """A forked writer's entries survive the parent's writes."""
+        path = tmp_path / "ck"
+        parent_ck = open_checkpoint(path, CFG)
         pid = os.fork()
         if pid == 0:  # pragma: no cover - child process
             code = EXIT_ERROR
             try:
-                child_j = CheckpointJournal.open(path, fp)
+                child_ck = open_checkpoint(path, CFG)
                 for i in range(5):
-                    child_j.record(("child", i), {"i": i})
+                    child_ck.put(FP, ("child", i), {"i": i})
                 code = EXIT_OK
             except BaseException:
                 pass
             finally:
                 os._exit(code)
-        # Parent races its own records against the child's.
+        # Parent races its own entries against the child's.
         for i in range(5):
-            parent_j.record(("parent", i), {"i": i})
+            parent_ck.put(FP, ("parent", i), {"i": i})
         _wait_ok(pid)
 
-        parent_j.record(("parent", "last"), {"i": -1})  # final merge
+        parent_ck.put(FP, ("parent", "last"), {"i": -1})
         for i in range(5):
-            assert parent_j.get(("child", i)) == {"i": i}
-            assert parent_j.get(("parent", i)) == {"i": i}
-        recs = [json.loads(line)
-                for line in path.read_text().splitlines()][1:]
-        keys = [tuple(r["key"]) for r in recs]
+            assert parent_ck.get(FP, ("child", i)) == {"i": i}
+            assert parent_ck.get(FP, ("parent", i)) == {"i": i}
+        keys = [tuple(e["key"]) for e in checkpoint_entries(path)]
         assert len(keys) == len(set(keys)) == 11
-        assert fsck_journal(path).ok
+        assert fsck_store(path).ok
 
     def test_two_concurrent_sweeps_resume_one_journal(self, tmp_path):
         """The acceptance scenario: concurrent sweeps, one checkpoint."""
-        path = tmp_path / "shared.jsonl"
+        path = tmp_path / "shared"
         pids = [_fork_sweep(checkpoint=path) for _ in range(2)]
         for pid in pids:
             _wait_ok(pid)
-        assert fsck_journal(path).ok
-        recs = [json.loads(line)
-                for line in path.read_text().splitlines()]
-        keys = [tuple(r["key"]) for r in recs if r.get("kind") == "point"]
+        assert fsck_store(path).ok
+        keys = [tuple(e["key"]) for e in checkpoint_entries(path)]
         # Every point exactly once: nothing lost, nothing duplicated.
         assert sorted(keys) == ALL_KEYS
 
-        # A third, serial run resumes entirely from the journal.
+        # A third, serial run resumes entirely from the checkpoint.
         inj = faults.FaultInjector()
         with faults.inject(inj):
             resumed = sweep(KERNEL, STRATEGIES, SIZES, CFG,
@@ -179,13 +176,13 @@ class TestSharedStore:
 class TestJournalPlusStoreConcurrently:
     def test_full_shared_stack(self, tmp_path):
         """Both artifacts shared by two concurrent sweeps at once."""
-        path = tmp_path / "j.jsonl"
+        path = tmp_path / "ck"
         cache = tmp_path / "cache"
         pids = [_fork_sweep(checkpoint=path, point_cache=cache)
                 for _ in range(2)]
         for pid in pids:
             _wait_ok(pid)
-        assert fsck_journal(path).ok
+        assert fsck_store(path).ok
         assert fsck_store(cache).ok
         resumed = sweep(KERNEL, STRATEGIES, SIZES, CFG,
                         options=SweepOptions(checkpoint=path,

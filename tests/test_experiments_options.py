@@ -49,8 +49,8 @@ class TestSweepOptions:
 
     def test_point_policy_projection(self):
         opts = SweepOptions(budget=PointBudget(max_refs=10), chunk_size=64)
-        pol = opts.point_policy(journal="J", store="S")
-        assert pol == PointPolicy(budget=opts.budget, journal="J",
+        pol = opts.point_policy(checkpoint="C", store="S")
+        assert pol == PointPolicy(budget=opts.budget, checkpoint="C",
                                   store="S", chunk_size=64)
 
     def test_extrapolation_is_not_an_option(self):

@@ -7,124 +7,113 @@ import pytest
 from repro.cli import main
 from repro.errors import FsckError
 from repro.perf.store import PointStore
-from repro.resilience import CheckpointJournal
-from repro.resilience.fsck import fsck_journal, fsck_path, fsck_store
+from repro.resilience.fsck import fsck_path, fsck_store
 from repro.resilience.integrity import QUARANTINE_DIR, attach_crc
 
 
 FP = "fsck-test-fp"
 
 
-def make_journal(path, n_points=3):
-    j = CheckpointJournal.open(path, FP)
+def make_checkpoint(path, n_points=3):
+    """A checkpoint directory (an unbounded store) with ``n_points``."""
+    store = PointStore(path, max_bytes=0)
     for i in range(n_points):
-        j.record(("K", i), {"x": i})
-    return j
+        store.put(FP, ("K", i), {"x": i})
+    return store
 
 
-def mangle_line(path, lineno, new_text):
-    lines = path.read_text().splitlines()
-    lines[lineno] = new_text
-    path.write_text("\n".join(lines) + "\n")
-
-
-def flip_payload(path, lineno):
-    """Change a record's content without refreshing its crc."""
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[lineno])
-    rec["payload"]["x"] = 999
-    lines[lineno] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
+def flip_payload(store, i):
+    """Change entry ``i``'s content without refreshing its crc."""
+    path = store._entry_path(FP, ("K", i))
+    entry = json.loads(path.read_text())
+    entry["payload"]["x"] = 999
+    path.write_text(json.dumps(entry))
+    return path
 
 
 class TestFsckJournal:
+    """``repro fsck`` on a ``--checkpoint`` directory."""
+
     def test_clean_journal_is_ok(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        make_journal(path)
-        report = fsck_journal(path)
+        make_checkpoint(tmp_path / "ck")
+        report = fsck_path(tmp_path / "ck")
+        assert report.kind == "store"
         assert report.ok and not report.repaired
-        assert report.counts == {"ok": 4}  # header + 3 records
+        assert report.counts == {"ok": 3}
         assert "clean" in report.render()
 
     def test_crc_mismatch_reported_per_record(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        make_journal(path)
-        flip_payload(path, 2)
-        report = fsck_journal(path)
+        store = make_checkpoint(tmp_path / "ck")
+        victim = flip_payload(store, 1)
+        report = fsck_path(tmp_path / "ck")
         assert not report.ok
-        assert report.counts == {"ok": 3, "damaged": 1}
+        assert report.counts == {"ok": 2, "damaged": 1}
         bad = [f for f in report.findings if f.status == "damaged"]
-        assert bad[0].where == "line 3"
+        assert bad[0].where == str(victim.relative_to(store.root))
         assert "checksum" in bad[0].detail
 
     def test_unparseable_line_reported(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        make_journal(path)
-        mangle_line(path, 1, "!!! not json")
-        report = fsck_journal(path)
+        store = make_checkpoint(tmp_path / "ck")
+        store._entry_path(FP, ("K", 0)).write_text("!!! not json")
+        report = fsck_path(tmp_path / "ck")
         assert not report.ok
         assert report.counts["damaged"] == 1
 
     def test_repair_quarantines_and_rewrites_good_records(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        make_journal(path)
-        flip_payload(path, 2)
-        report = fsck_journal(path, repair=True)
+        store = make_checkpoint(tmp_path / "ck")
+        flip_payload(store, 1)
+        report = fsck_path(store.root, repair=True)
         assert report.repaired and not report.ok  # damage found -> gate CI
+        # Two good entries, one repaired, plus the quarantine note.
         assert report.counts == {"ok": 3, "repaired": 1}
-        # The damaged original is held as evidence...
-        qdir = tmp_path / QUARANTINE_DIR
+        # The damaged entry is held as evidence...
+        qdir = store.root / QUARANTINE_DIR
         assert any(not q.name.endswith(".meta.json")
                    for q in qdir.iterdir())
-        # ...and the rewritten journal verifies clean and resumes.
-        assert fsck_journal(path).ok
-        j = CheckpointJournal.open(path, FP)
-        assert j.get(("K", 0)) == {"x": 0}
-        assert j.get(("K", 2)) == {"x": 2}
-        assert j.get(("K", 1)) is None  # the damaged record was dropped
+        # ...and the checkpoint verifies clean and resumes.
+        assert fsck_path(store.root).ok
+        assert store.get(FP, ("K", 0)) == {"x": 0}
+        assert store.get(FP, ("K", 2)) == {"x": 2}
+        assert store.get(FP, ("K", 1)) is None  # dropped: re-simulated
 
-    def test_missing_header_is_fatal_and_unrepaired(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(json.dumps(
-            attach_crc({"kind": "point", "v": 3, "key": ["K", 1],
-                        "payload": {}})) + "\n")
-        report = fsck_journal(path, repair=True)
-        assert not report.ok and report.fatal
-        assert not report.repaired  # nothing trustworthy to rebuild from
-        assert path.exists()
+    def test_newer_entry_version_is_damaged(self, tmp_path):
+        store = make_checkpoint(tmp_path / "ck", n_points=1)
+        path = store._entry_path(FP, ("K", 0))
+        entry = json.loads(path.read_text())
+        entry["v"] = 99
+        path.write_text(json.dumps(attach_crc(entry)))
+        report = fsck_path(store.root)
+        assert report.counts == {"damaged": 1}
+        assert "unsupported entry version 99" in report.findings[0].detail
 
-    def test_newer_version_is_fatal(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(json.dumps(
-            {"kind": "header", "version": 99, "fingerprint": FP}) + "\n")
-        report = fsck_journal(path)
-        assert not report.ok and "newer" in report.fatal
-
-    def test_legacy_journal_is_clean_but_flagged(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        lines = [json.dumps({"kind": "header", "version": 1,
-                             "fingerprint": FP}),
-                 json.dumps({"kind": "point", "key": ["K", 1],
-                             "payload": {"x": 1}})]
-        path.write_text("\n".join(lines) + "\n")
-        report = fsck_journal(path)
-        assert report.ok  # legacy is readable, not damage
-        assert report.counts == {"legacy": 2}
+    def test_misfiled_entry_is_damaged(self, tmp_path):
+        """An entry copied under another configuration's fingerprint
+        directory is damage, not data."""
+        store = make_checkpoint(tmp_path / "ck", n_points=1)
+        src = store._entry_path(FP, ("K", 0))
+        dst = store._entry_path("other-fp", ("K", 0))
+        dst.parent.mkdir()
+        dst.write_text(src.read_text())
+        report = fsck_path(store.root)
+        assert report.counts == {"ok": 1, "damaged": 1}
+        bad = [f for f in report.findings if f.status == "damaged"]
+        assert "records fingerprint" in bad[0].detail
 
     def test_orphan_tmp_reported_and_removed_on_repair(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        make_journal(path)
-        orphan = tmp_path / "j.jsonl.1234.tmp"
+        store = make_checkpoint(tmp_path / "ck")
+        orphan = store.fingerprint_dir(FP) / "K-0.json.1234.tmp"
         orphan.write_text("half a write")
-        report = fsck_journal(path)
+        report = fsck_path(store.root)
         assert not report.ok and report.counts["orphan"] == 1
         assert orphan.exists()  # verify is read-only
-        fsck_journal(path, repair=True)
+        fsck_path(store.root, repair=True)
         assert not orphan.exists()
 
     def test_unreadable_target_is_fatal(self, tmp_path):
-        report = fsck_journal(tmp_path)  # a directory, via fsck_journal
-        assert report.fatal is not None
+        path = tmp_path / "ck.jsonl"
+        path.write_text("{}\n")
+        report = fsck_store(path)  # a file, via fsck_store
+        assert report.fatal == "not a directory"
 
 
 class TestFsckStore:
@@ -198,38 +187,47 @@ class TestFsckStore:
 
 class TestDispatchAndCli:
     def test_dispatch_on_shape(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        make_journal(path)
         PointStore(tmp_path / "store").put(FP, ("K",), {"x": 1})
-        assert fsck_path(path).kind == "journal"
         assert fsck_path(tmp_path / "store").kind == "store"
+        journal = tmp_path / "j.jsonl"
+        journal.write_text("{}\n")
+        with pytest.raises(FsckError, match="no longer read"):
+            fsck_path(journal)
 
     def test_dispatch_missing_target(self, tmp_path):
         with pytest.raises(FsckError, match="no such"):
             fsck_path(tmp_path / "nope")
 
     def test_cli_exit_codes(self, tmp_path, capsys):
-        path = tmp_path / "j.jsonl"
-        make_journal(path)
-        assert main(["fsck", str(path)]) == 0
+        store = make_checkpoint(tmp_path / "ck")
+        assert main(["fsck", str(store.root)]) == 0
         out = capsys.readouterr().out
         assert "clean" in out
 
-        flip_payload(path, 1)
-        assert main(["fsck", str(path)]) == 1  # damage gates CI
-        assert main(["fsck", str(path), "--repair"]) == 1  # found damage
-        assert main(["fsck", str(path)]) == 0  # now actually clean
+        flip_payload(store, 1)
+        assert main(["fsck", str(store.root)]) == 1  # damage gates CI
+        assert main(["fsck", str(store.root), "--repair"]) == 1  # found
+        assert main(["fsck", str(store.root)]) == 0  # now actually clean
 
     def test_cli_missing_target_is_usage_error(self, tmp_path, capsys):
         assert main(["fsck", str(tmp_path / "nope")]) == 2
         assert "no such" in capsys.readouterr().err
 
+    def test_cli_journal_file_is_usage_error(self, tmp_path, capsys):
+        """A JSONL checkpoint journal from an older build is no longer
+        read: fsck refuses the file with exit 2."""
+        journal = tmp_path / "sweep.jsonl"
+        journal.write_text(json.dumps({"kind": "header", "version": 3,
+                                       "fingerprint": FP}) + "\n")
+        assert main(["fsck", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert "journals are no longer read" in err
+
     def test_cli_show_ok_lists_every_record(self, tmp_path, capsys):
-        path = tmp_path / "j.jsonl"
-        make_journal(path, n_points=2)
-        main(["fsck", str(path), "--show-ok"])
+        make_checkpoint(tmp_path / "ck", n_points=2)
+        main(["fsck", str(tmp_path / "ck"), "--show-ok"])
         out = capsys.readouterr().out
-        assert out.count("ok") >= 3  # header + 2 records
+        assert out.count("key=") == 2
 
 
 class TestFsckRunAndLedger:

@@ -214,15 +214,13 @@ class TestStaleSecondsEnv:
         """The first lock acquisition (fsck --repair) surfaces the typo
         as a usage error, not a crash or a silent default."""
         from repro.cli import main
-        from repro.resilience import CheckpointJournal
+        from repro.perf.store import PointStore
 
-        path = tmp_path / "j.jsonl"
-        j = CheckpointJournal.open(path, "fp")
-        j.record(("K", 1), {"x": 1})
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].replace('"x": 1', '"x": 2')  # stale crc
-        path.write_text("\n".join(lines) + "\n")
+        store = PointStore(tmp_path / "ck", max_bytes=0)
+        store.put("fp", ("K", 1), {"x": 1})
+        entry = store._entry_path("fp", ("K", 1))
+        entry.write_text(entry.read_text().replace('"x": 1', '"x": 2'))
 
         monkeypatch.setenv("REPRO_LOCK_STALE_S", "soon")
-        assert main(["fsck", str(path), "--repair"]) == 2
+        assert main(["fsck", str(store.root), "--repair"]) == 2
         assert "REPRO_LOCK_STALE_S" in capsys.readouterr().err

@@ -112,7 +112,7 @@ class TestQuietRun:
     def test_checkpoint_resume_event(self, tmp_path):
         runner.clear_cache()
         ev1 = tmp_path / "r1.jsonl"
-        ck = tmp_path / "ck.jsonl"
+        ck = tmp_path / "ck"
         assert main(["table3", "--n", "8", "--checkpoint", str(ck),
                      "--log-json", str(ev1)]) == 0
         ev2 = tmp_path / "r2.jsonl"
@@ -120,7 +120,7 @@ class TestQuietRun:
                      "--resume", "--log-json", str(ev2)]) == 0
         events = read_events(ev2)
         resumes = [e for e in events if e["kind"] == "checkpoint_resume"]
-        assert resumes and resumes[0]["points"] == 18
+        assert [e["points"] for e in resumes] == [18]  # one open per run
         s = summarize(events)
         assert s.journal_hits == 18 and s.simulations == 0
 
@@ -294,12 +294,12 @@ class TestRunDir:
         assert rc == 2
         assert not led.exists() or not list(led.iterdir())
 
-        # A journal from a different configuration fails *inside* the
+        # A checkpoint of a different configuration fails *inside* the
         # session: the manifest must record the error outcome.
         from repro.experiments.runner import sweep as run_sweep
         from repro.experiments.options import SweepOptions
 
-        ck = tmp_path / "ck.jsonl"
+        ck = tmp_path / "ck"
         run_sweep("JACOBI", ["Orig"], [8], tiny_config,
                   options=SweepOptions(checkpoint=ck))
         rc = main(["figures", "--kernel", "JACOBI", "--n", "8",

@@ -25,6 +25,7 @@ from repro.experiments.runner import (
 from repro.obs import metrics
 from repro.perf import PointStore, StoreInfo
 from repro.resilience import PointBudget, faults
+from repro.resilience.integrity import QUARANTINE_DIR
 
 KEY = ("JACOBI", "Orig", 40)
 
@@ -85,6 +86,22 @@ class TestStoreBasics:
         rec["key"] = ["JACOBI", "Orig", 99]
         entry.write_text(json.dumps(rec))
         assert store.get("fp", KEY) is None
+
+    def test_entry_filed_under_another_fingerprint_quarantined(self,
+                                                               tmp_path):
+        """A CRC-valid entry copied into another configuration's
+        directory must not be served as that configuration's numbers."""
+        store = PointStore(tmp_path / "c")
+        store.put("fp-a", KEY, {"x": 1})
+        src = store._entry_path("fp-a", KEY)
+        dst = store._entry_path("fp-b", KEY)
+        dst.parent.mkdir()
+        dst.write_text(src.read_text())
+        assert store.get("fp-b", KEY) is None
+        assert not dst.exists()
+        assert len(list((tmp_path / "c" / QUARANTINE_DIR)
+                        .glob("*.meta.json"))) == 1
+        assert store.get("fp-a", KEY) == {"x": 1}  # the original serves
 
     def test_non_directory_root_rejected(self, tmp_path):
         f = tmp_path / "file"
@@ -164,6 +181,16 @@ class TestEviction:
         self.put_n(store, 8)
         assert store.info().entries == 8
 
+    @pytest.mark.parametrize("bad", ["lots", "1e6", "256MB"])
+    def test_malformed_env_budget_is_a_configuration_error(
+            self, tmp_path, monkeypatch, bad):
+        monkeypatch.setenv("REPRO_POINT_CACHE_BYTES", bad)
+        with pytest.raises(ConfigurationError,
+                           match="REPRO_POINT_CACHE_BYTES"):
+            PointStore(tmp_path / "c")
+        # An explicit budget does not consult the variable.
+        assert PointStore(tmp_path / "c", max_bytes=0).max_bytes is None
+
     def test_eviction_metric(self, tmp_path):
         store = PointStore(tmp_path / "c", max_bytes=1200)
         with metrics.collect() as reg:
@@ -226,16 +253,14 @@ class TestRunnerIntegration:
         assert store.info().entries == 0
 
     def test_store_hit_promoted_into_journal(self, tmp_path, tiny_config):
-        from repro.experiments.runner import open_journal
+        from repro.experiments.runner import open_checkpoint
 
         store = PointStore(tmp_path / "c")
         run_point(*KEY, tiny_config, policy=PointPolicy(store=store))
-        ckpt = tmp_path / "j.jsonl"
+        ckpt = open_checkpoint(tmp_path / "ck", tiny_config)
         run_point(*KEY, tiny_config,
-                  policy=PointPolicy(store=store,
-                                     journal=open_journal(ckpt,
-                                                          tiny_config)))
-        assert open_journal(ckpt, tiny_config).get(KEY) is not None
+                  policy=PointPolicy(store=store, checkpoint=ckpt))
+        assert ckpt.get(config_fingerprint(tiny_config), KEY) is not None
 
     def test_parallel_sweep_served_from_store(self, tmp_path, tiny_config):
         from repro.resilience.pool import available

@@ -1,4 +1,4 @@
-"""Unit tests for the resilience primitives (journal, budget, faults)."""
+"""Unit tests for the resilience primitives (checkpoint, budget, faults)."""
 
 import json
 
@@ -9,11 +9,15 @@ from repro.errors import (
     CheckpointError,
     ConfigurationError,
     RetryableError,
-    StorageError,
+)
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.options import SweepOptions
+from repro.experiments.runner import (
+    config_fingerprint,
+    open_checkpoint,
+    sweep,
 )
 from repro.resilience import (
-    CheckpointJournal,
-    CheckpointWarning,
     Deadline,
     PointBudget,
     atomic_write_text,
@@ -22,6 +26,7 @@ from repro.resilience import (
     verify_crc,
 )
 from repro.resilience import faults
+from repro.resilience.integrity import QUARANTINE_DIR
 
 
 class TestAtomicWrite:
@@ -52,240 +57,129 @@ class TestFingerprint:
 
 
 class TestJournal:
-    FP = "cafe" * 16
+    """The checkpoint: an unbounded point store bound to one
+    configuration fingerprint (:func:`open_checkpoint`)."""
 
-    def test_create_and_record(self, tmp_path):
-        j = CheckpointJournal.open(tmp_path / "j.jsonl", self.FP)
-        assert len(j) == 0 and j.get(("K", "S", 1)) is None
-        j.record(("K", "S", 1), {"value": 42})
-        assert ("K", "S", 1) in j
-        assert j.get(("K", "S", 1)) == {"value": 42}
+    KEY = ("JACOBI", "Orig", 40)
 
-    def test_reopen_resumes(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        j = CheckpointJournal.open(path, self.FP)
-        j.record(("K", "S", 1), {"value": 1})
-        j.record(("K", "S", 2), {"value": 2})
-        j2 = CheckpointJournal.open(path, self.FP)
-        assert len(j2) == 2 and j2.get(("K", "S", 2)) == {"value": 2}
+    def test_create_and_record(self, tmp_path, tiny_config):
+        ck = open_checkpoint(tmp_path / "ck", tiny_config)
+        fp = config_fingerprint(tiny_config)
+        assert ck.max_bytes is None  # eviction would lose resume progress
+        assert ck.get(fp, self.KEY) is None
+        ck.put(fp, self.KEY, {"value": 42})
+        assert ck.get(fp, self.KEY) == {"value": 42}
 
-    def test_fingerprint_mismatch_refused(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        CheckpointJournal.open(path, self.FP).record(("K",), {})
+    def test_reopen_resumes(self, tmp_path, tiny_config):
+        fp = config_fingerprint(tiny_config)
+        ck = open_checkpoint(tmp_path / "ck", tiny_config)
+        ck.put(fp, ("K", "S", 1), {"value": 1})
+        ck.put(fp, ("K", "S", 2), {"value": 2})
+        again = open_checkpoint(tmp_path / "ck", tiny_config)
+        assert again.get(fp, ("K", "S", 2)) == {"value": 2}
+        assert again.info().entries == 2
+
+    def test_fingerprint_mismatch_refused(self, tmp_path, tiny_config,
+                                          tiny_l1, tiny_l2):
+        ck = open_checkpoint(tmp_path / "ck", tiny_config)
+        ck.put(config_fingerprint(tiny_config), self.KEY, {})
+        other = ExperimentConfig(l1=tiny_l1, l2=tiny_l2, nk=5)
         with pytest.raises(CheckpointError, match="different configuration"):
-            CheckpointJournal.open(path, "beef" * 16)
+            open_checkpoint(tmp_path / "ck", other)
 
-    def test_file_is_valid_jsonl_with_header(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        j = CheckpointJournal.open(path, self.FP)
-        j.record(("K", 1), {"v": 1})
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines[0]["kind"] == "header"
-        assert lines[0]["fingerprint"] == self.FP
-        crc = lines[1].pop("crc")
-        assert isinstance(crc, str) and len(crc) == 8
-        assert lines[1] == {"kind": "point", "v": 3, "key": ["K", 1],
-                            "payload": {"v": 1}}
+    def test_corrupt_trailing_line_recovered(self, tmp_path, tiny_config):
+        """A torn entry (its line cut short by a kill during a non-atomic
+        copy) is never served: it is quarantined and the point is
+        simulated again."""
+        ckpt = tmp_path / "ck"
+        opts = SweepOptions(checkpoint=ckpt)
+        first = sweep("JACOBI", ["Orig"], [40], tiny_config, options=opts)
+        (entry,) = ckpt.glob("*/*.json")
+        faults.corrupt_file(entry, "truncate")
+        inj = faults.FaultInjector()
+        with faults.inject(inj):
+            again = sweep("JACOBI", ["Orig"], [40], tiny_config,
+                          options=opts)
+        assert inj.calls("simulate") == 1
+        assert again == first
+        assert len(list((ckpt / QUARANTINE_DIR).glob("*.meta.json"))) == 1
+        assert verify_crc(json.loads(entry.read_text()))  # rewritten whole
 
-    def test_corrupt_trailing_line_recovered(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        j = CheckpointJournal.open(path, self.FP)
-        j.record(("K", 1), {"v": 1})
-        j.record(("K", 2), {"v": 2})
-        faults.corrupt_journal(path, "truncate")
-        with pytest.warns(CheckpointWarning, match="trailing line"):
-            j2 = CheckpointJournal.open(path, self.FP)
-        assert j2.get(("K", 1)) == {"v": 1}
-        assert j2.get(("K", 2)) is None  # the truncated point re-runs
+    def test_appended_garbage_recovered(self, tmp_path, tiny_config):
+        ckpt = tmp_path / "ck"
+        opts = SweepOptions(checkpoint=ckpt)
+        first = sweep("JACOBI", ["Orig"], [40], tiny_config, options=opts)
+        (entry,) = ckpt.glob("*/*.json")
+        faults.corrupt_file(entry, "garbage")
+        inj = faults.FaultInjector()
+        with faults.inject(inj):
+            again = sweep("JACOBI", ["Orig"], [40], tiny_config,
+                          options=opts)
+        assert inj.calls("simulate") == 1
+        assert again == first
 
-    def test_appended_garbage_recovered(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        CheckpointJournal.open(path, self.FP).record(("K", 1), {"v": 1})
-        faults.corrupt_journal(path, "garbage")
-        with pytest.warns(CheckpointWarning):
-            j2 = CheckpointJournal.open(path, self.FP)
-        assert len(j2) == 1
-
-    def test_corrupt_middle_line_rejected(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        j = CheckpointJournal.open(path, self.FP)
-        j.record(("K", 1), {"v": 1})
-        j.record(("K", 2), {"v": 2})
-        lines = path.read_text().splitlines()
-        lines[1] = "garbage{"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="corrupt at line 2"):
-            CheckpointJournal.open(path, self.FP)
-
-    def test_corrupt_header_rejected(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        j = CheckpointJournal.open(path, self.FP)
-        j.record(("K", 1), {"v": 1})
-        faults.corrupt_journal(path, "header")
-        with pytest.raises(CheckpointError):
-            CheckpointJournal.open(path, self.FP)
-
-    def test_not_a_journal_rejected(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(json.dumps({"kind": "whatever"}) + "\n"
-                        + json.dumps({"kind": "point", "key": [1]}) + "\n")
-        with pytest.raises(CheckpointError, match="no header"):
-            CheckpointJournal.open(path, self.FP)
+    def test_not_a_journal_rejected(self, tmp_path, tiny_config):
+        """A file at the checkpoint path — e.g. a JSONL journal from an
+        older build — is refused, never parsed or overwritten."""
+        path = tmp_path / "sweep.jsonl"
+        old = json.dumps({"kind": "header", "version": 3,
+                          "fingerprint": "f"}) + "\n"
+        path.write_text(old)
+        with pytest.raises(CheckpointError,
+                           match="journals are no longer read"):
+            open_checkpoint(path, tiny_config)
+        assert path.read_text() == old
 
 
 class TestJournalVersioning:
-    FP = "cafe" * 16
+    """A checkpoint binds to the configuration *and* the package version
+    that wrote it (both are in its fingerprint); entries from a newer
+    entry format are never served."""
 
-    def _write_v1(self, path):
-        """A journal exactly as PR 1 wrote it: no per-record ``v``."""
-        path.write_text(
-            json.dumps({"kind": "header", "version": 1,
-                        "fingerprint": self.FP}) + "\n"
-            + json.dumps({"kind": "point", "key": ["K", 1],
-                          "payload": {"x": 1}}) + "\n")
+    KEY = ("JACOBI", "Orig", 40)
 
-    def test_v1_journal_migrates_on_open(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        self._write_v1(path)
-        j = CheckpointJournal.open(path, self.FP)
-        assert j.get(("K", 1)) == {"x": 1}
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines[0]["version"] == 3
-        assert all(rec["v"] == 3 and "crc" in rec for rec in lines[1:])
-
-    def test_vless_record_under_v2_header_migrates(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(
-            json.dumps({"kind": "header", "version": 2,
-                        "fingerprint": self.FP}) + "\n"
-            + json.dumps({"kind": "point", "key": ["K", 1],
-                          "payload": {"x": 1}}) + "\n")
-        j = CheckpointJournal.open(path, self.FP)
-        assert j.get(("K", 1)) == {"x": 1}
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines[1]["v"] == 3
-
-    def _write_v2(self, path, n=3):
-        """A journal exactly as PR 4 wrote it: v2, no checksums."""
-        lines = [json.dumps({"kind": "header", "version": 2,
-                             "fingerprint": self.FP})]
-        for i in range(n):
-            lines.append(json.dumps({"kind": "point", "v": 2,
-                                     "key": ["K", i],
-                                     "payload": {"x": i,
-                                                 "nested": {"f": 1.5}}}))
-        path.write_text("\n".join(lines) + "\n")
-
-    def test_v2_journal_round_trips_to_v3(self, tmp_path):
-        """Lossless v2 -> v3: same payloads, now checksummed."""
-        path = tmp_path / "j.jsonl"
-        self._write_v2(path)
-        j = CheckpointJournal.open(path, self.FP)
-        for i in range(3):
-            assert j.get(("K", i)) == {"x": i, "nested": {"f": 1.5}}
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines[0]["version"] == 3 and verify_crc(lines[0])
-        assert all(rec["v"] == 3 and verify_crc(rec) for rec in lines[1:])
-        # A second open is a plain resume, not another migration.
-        j2 = CheckpointJournal.open(path, self.FP)
-        assert j2.get(("K", 2)) == {"x": 2, "nested": {"f": 1.5}}
-
-    def test_v1_journal_round_trips_and_extends(self, tmp_path):
-        """v1 -> v3 keeps old records usable next to newly written ones."""
-        path = tmp_path / "j.jsonl"
-        self._write_v1(path)
-        j = CheckpointJournal.open(path, self.FP)
-        j.record(("K", 2), {"x": 2})
-        j2 = CheckpointJournal.open(path, self.FP)
-        assert j2.get(("K", 1)) == {"x": 1}
-        assert j2.get(("K", 2)) == {"x": 2}
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert all(verify_crc(rec) for rec in lines)
-
-    @pytest.mark.parametrize("writer", ["_write_v1", "_write_v2"])
-    def test_migration_is_atomic_under_torn_write(self, tmp_path, writer):
-        """A crash mid-migration leaves the old journal byte-intact."""
-        path = tmp_path / "j.jsonl"
-        getattr(self, writer)(path)
-        before = path.read_bytes()
-        with faults.inject_io(f"torn_write:{path.name}"):
-            with pytest.raises(StorageError):
-                CheckpointJournal.open(path, self.FP)
-        assert path.read_bytes() == before
-        assert not list(tmp_path.glob("j.jsonl.*.tmp"))
-        # The next, unfaulted open migrates cleanly.
-        j = CheckpointJournal.open(path, self.FP)
-        assert j.get(("K", 1)) is not None
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines[0]["version"] == 3
-
-    def test_newer_header_version_refused(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(json.dumps({"kind": "header", "version": 99,
-                                    "fingerprint": self.FP}) + "\n")
-        with pytest.raises(CheckpointError, match="newer repro"):
-            CheckpointJournal.open(path, self.FP)
-
-    def test_newer_record_version_refused(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(
-            json.dumps({"kind": "header", "version": 2,
-                        "fingerprint": self.FP}) + "\n"
-            + json.dumps({"kind": "point", "v": 99, "key": ["K", 1],
-                          "payload": {}}) + "\n")
-        with pytest.raises(CheckpointError, match="newer"):
-            CheckpointJournal.open(path, self.FP)
-
-    def test_invalid_header_version_refused(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(json.dumps({"kind": "header", "version": "two",
-                                    "fingerprint": self.FP}) + "\n")
-        with pytest.raises(CheckpointError, match="invalid format version"):
-            CheckpointJournal.open(path, self.FP)
-
-    def test_mismatch_error_names_both_fingerprints(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        CheckpointJournal.open(path, self.FP).record(("K",), {})
-        other = "beef" * 16
+    def test_mismatch_error_names_both_fingerprints(self, tmp_path,
+                                                    tiny_config, tiny_l1,
+                                                    tiny_l2):
+        open_checkpoint(tmp_path / "ck", tiny_config)
+        other = ExperimentConfig(l1=tiny_l1, l2=tiny_l2, nk=5)
         with pytest.raises(CheckpointError) as ei:
-            CheckpointJournal.open(path, other)
+            open_checkpoint(tmp_path / "ck", other)
         msg = str(ei.value)
-        assert self.FP in msg and other in msg
-        assert "--resume-force" in msg
+        assert config_fingerprint(tiny_config) in msg
+        assert config_fingerprint(other) in msg
 
-    def test_force_adopts_mismatched_journal(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        CheckpointJournal.open(path, self.FP).record(("K", 1), {"x": 1})
-        other = "beef" * 16
-        with pytest.warns(CheckpointWarning, match="overridden"):
-            j = CheckpointJournal.open(path, other, force=True)
-        assert j.get(("K", 1)) == {"x": 1}
-        assert j.fingerprint == other
-        # The rewrite rebinds the file, so a plain reopen now works.
-        j2 = CheckpointJournal.open(path, other)
-        assert j2.get(("K", 1)) == {"x": 1}
+    def test_newer_header_version_refused(self, tmp_path, tiny_config,
+                                          monkeypatch):
+        """A checkpoint written by another (e.g. newer) repro version is
+        refused, not mixed with this build's numbers."""
+        import repro
 
-    def test_force_is_noop_when_fingerprints_match(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        CheckpointJournal.open(path, self.FP).record(("K", 1), {"x": 1})
-        j = CheckpointJournal.open(path, self.FP, force=True)  # no warning
-        assert len(j) == 1
+        monkeypatch.setattr(repro, "__version__", "99.0.0")
+        open_checkpoint(tmp_path / "ck", tiny_config)
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="different configuration"):
+            open_checkpoint(tmp_path / "ck", tiny_config)
 
-    def test_orphan_tmp_swept_on_open(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        CheckpointJournal.open(path, self.FP).record(("K", 1), {"x": 1})
-        orphan = tmp_path / "j.jsonl.12345.tmp"
-        orphan.write_text("half-written garbage")
-        j = CheckpointJournal.open(path, self.FP)
-        assert not orphan.exists()
-        assert j.get(("K", 1)) == {"x": 1}
-
-    def test_orphan_sweep_ignores_other_files(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        bystander = tmp_path / "other.jsonl.1.tmp"
-        bystander.write_text("not ours")
-        CheckpointJournal.open(path, self.FP)
-        assert bystander.exists()
+    def test_newer_record_version_refused(self, tmp_path, tiny_config):
+        """An entry in a format newer than this build reads is
+        quarantined and re-simulated, never guessed at."""
+        ckpt = tmp_path / "ck"
+        opts = SweepOptions(checkpoint=ckpt)
+        first = sweep("JACOBI", ["Orig"], [40], tiny_config, options=opts)
+        (entry,) = ckpt.glob("*/*.json")
+        rec = json.loads(entry.read_text())
+        rec["v"] = 99
+        entry.write_text(json.dumps(rec))
+        fp = config_fingerprint(tiny_config)
+        assert open_checkpoint(ckpt, tiny_config).get(fp, self.KEY) is None
+        assert len(list((ckpt / QUARANTINE_DIR).glob("*.meta.json"))) == 1
+        inj = faults.FaultInjector()
+        with faults.inject(inj):
+            again = sweep("JACOBI", ["Orig"], [40], tiny_config,
+                          options=opts)
+        assert inj.calls("simulate") == 1
+        assert again == first
 
 
 class TestWorkerFaultPlan:
@@ -455,4 +349,4 @@ class TestFaultInjector:
         p = tmp_path / "f"
         p.write_text("x\n")
         with pytest.raises(ConfigurationError):
-            faults.corrupt_journal(p, "melt")
+            faults.corrupt_file(p, "melt")

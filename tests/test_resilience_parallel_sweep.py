@@ -3,12 +3,10 @@
 The load-bearing property is **differential**: a parallel sweep must
 produce byte-identical results to the serial path on the same grid —
 including under injected worker kills — and serial and parallel runs
-must be able to resume each other's checkpoint journals. Quarantine is
+must be able to resume each other's checkpoints. Quarantine is
 proven with ``:all`` faults: the sweep still completes with a full
 result set, the poisoned point carrying ``degraded=True``.
 """
-
-import json
 
 import pytest
 
@@ -17,7 +15,6 @@ from repro.experiments.options import PointPolicy, SweepOptions
 from repro.experiments.runner import (
     _check_payload,
     _point_to_payload,
-    open_journal,
     run_point,
     sweep,
 )
@@ -25,6 +22,7 @@ from repro.obs import EventBus, MemorySink, events
 from repro.obs.report import summarize
 from repro.resilience import faults
 from repro.resilience.pool import available
+from tests.helpers import checkpoint_entries, checkpoint_points
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="multiprocessing unavailable")
@@ -70,19 +68,14 @@ class TestDifferential:
     def test_parallel_journal_matches_serial_journal(self, monkeypatch,
                                                      tmp_path, tiny_config):
         sweep("JACOBI", STRATS, SIZES, tiny_config,
-              options=SweepOptions(checkpoint=tmp_path / "serial.jsonl"))
+              options=SweepOptions(checkpoint=tmp_path / "serial"))
         monkeypatch.setenv(faults.WORKER_FAULT_ENV, "kill:1")
         sweep("JACOBI", STRATS, SIZES, tiny_config,
-              options=SweepOptions(checkpoint=tmp_path / "par.jsonl",
+              options=SweepOptions(checkpoint=tmp_path / "par",
                                    parallel=2))
 
-        def load(name):
-            recs = [json.loads(ln) for ln
-                    in (tmp_path / name).read_text().splitlines()]
-            return {tuple(r["key"]): r["payload"] for r in recs
-                    if r["kind"] == "point"}
-
-        assert load("par.jsonl") == load("serial.jsonl")
+        assert (checkpoint_points(tmp_path / "par")
+                == checkpoint_points(tmp_path / "serial"))
 
 
 class TestQuarantine:
@@ -103,12 +96,12 @@ class TestQuarantine:
     def test_quarantined_point_is_journaled(self, monkeypatch, tmp_path,
                                             tiny_config):
         monkeypatch.setenv(faults.WORKER_FAULT_ENV, "kill:1:all")
-        ckpt = tmp_path / "q.jsonl"
+        ckpt = tmp_path / "q"
         sweep("JACOBI", STRATS, SIZES, tiny_config,
               options=SweepOptions(checkpoint=ckpt, parallel=2))
-        j = open_journal(ckpt, tiny_config)
-        assert len(j) == len(STRATS) * len(SIZES)
-        assert j.get(("JACOBI", "Orig", SIZES[0]))["degraded"] is True
+        points = checkpoint_points(ckpt)
+        assert len(points) == len(STRATS) * len(SIZES)
+        assert points[("JACOBI", "Orig", SIZES[0])]["degraded"] is True
 
     def test_hung_worker_reaped_and_retried(self, monkeypatch, tiny_config):
         monkeypatch.setenv(faults.WORKER_FAULT_ENV, "hang:2")
@@ -120,20 +113,20 @@ class TestQuarantine:
 
 class TestJournalInterop:
     def test_serial_journal_resumed_by_parallel(self, tmp_path, tiny_config):
-        ckpt = tmp_path / "s.jsonl"
+        ckpt = tmp_path / "s"
         serial = sweep("JACOBI", STRATS, SIZES, tiny_config,
                        options=SweepOptions(checkpoint=ckpt))
         inj = faults.FaultInjector()
         with faults.inject(inj):
             par = sweep("JACOBI", STRATS, SIZES, tiny_config,
                         options=SweepOptions(checkpoint=ckpt, parallel=2))
-        # Every point came from the journal: no worker ever spawned, so
+        # Every point came from the checkpoint: no worker ever spawned, so
         # the supervisor's in-process injector saw no simulate ticks.
         assert inj.calls("simulate") == 0
         assert par == serial
 
     def test_parallel_journal_resumed_by_serial(self, tmp_path, tiny_config):
-        ckpt = tmp_path / "p.jsonl"
+        ckpt = tmp_path / "p"
         par = sweep("JACOBI", STRATS, SIZES, tiny_config,
                     options=SweepOptions(checkpoint=ckpt, parallel=2))
         inj = faults.FaultInjector()
@@ -145,7 +138,7 @@ class TestJournalInterop:
 
     def test_partial_serial_journal_finished_in_parallel(self, tmp_path,
                                                          tiny_config):
-        ckpt = tmp_path / "half.jsonl"
+        ckpt = tmp_path / "half"
         sweep("JACOBI", ["Orig"], SIZES, tiny_config,
               options=SweepOptions(checkpoint=ckpt))
         res = sweep("JACOBI", STRATS, SIZES, tiny_config,
@@ -153,29 +146,9 @@ class TestJournalInterop:
         assert len(flat(res)) == len(STRATS) * len(SIZES)
         assert res == sweep("JACOBI", STRATS, SIZES, tiny_config)
 
-    def test_resume_force_threads_through_sweep(self, tmp_path, tiny_config,
-                                                tiny_l1, tiny_l2):
-        from repro.experiments.config import ExperimentConfig
-        from repro.resilience import CheckpointWarning
-
-        ckpt = tmp_path / "f.jsonl"
-        sweep("JACOBI", ["Orig"], [40], tiny_config,
-              options=SweepOptions(checkpoint=ckpt))
-        other = ExperimentConfig(l1=tiny_l1, l2=tiny_l2, nk=5)
-        with pytest.raises(CheckpointError, match="different configuration"):
-            sweep("JACOBI", ["Orig"], [40], other,
-                  options=SweepOptions(checkpoint=ckpt))
-        with pytest.warns(CheckpointWarning, match="overridden"):
-            res = sweep("JACOBI", ["Orig"], [40], other,
-                        options=SweepOptions(checkpoint=ckpt,
-                                             resume_force=True))
-        # The adopted journal's point is served as-is (nk still the
-        # original config's) — that is what "trusted as-is" means.
-        assert res["Orig"][0].nk == tiny_config.nk
-
 
 class TestCheckPayloadRegressions:
-    """A dying worker's half-written payload must never be journaled."""
+    """A dying worker's half-written payload must never be checkpointed."""
 
     @pytest.fixture
     def payload(self, tiny_config):
@@ -243,18 +216,18 @@ class TestCheckPayloadRegressions:
 
     def test_corrupt_worker_payload_never_journaled(self, monkeypatch,
                                                     tmp_path, tiny_config):
-        # Even with corruption on *every* attempt the journal ends up
+        # Even with corruption on *every* attempt the checkpoint ends up
         # with a valid (quarantined analytic) record, never the garbage.
         monkeypatch.setenv(faults.WORKER_FAULT_ENV, "corrupt:1:all")
-        ckpt = tmp_path / "c.jsonl"
+        ckpt = tmp_path / "c"
         res = sweep("JACOBI", ["Orig"], [40], tiny_config,
                     options=SweepOptions(checkpoint=ckpt, parallel=2))
         assert res["Orig"][0].degraded
-        for line in ckpt.read_text().splitlines():
-            rec = json.loads(line)
-            if rec["kind"] == "point":
-                assert "__corrupt__" not in rec["payload"]
-                _check_payload(tuple(rec["key"]), rec["payload"])
+        entries = checkpoint_entries(ckpt)
+        assert len(entries) == 1
+        for rec in entries:
+            assert "__corrupt__" not in rec["payload"]
+            _check_payload(tuple(rec["key"]), rec["payload"])
 
 
 class TestObservability:

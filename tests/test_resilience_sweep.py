@@ -4,8 +4,8 @@ These prove the acceptance scenarios end to end on the tiny (2KB L1)
 configuration: a sweep killed mid-run resumes from its checkpoint
 without re-simulating finished points; a point that exceeds its budget
 or exhausts its retries degrades to the analytic miss model instead of
-failing the sweep; corrupt journals recover (trailing damage) or are
-refused (structural damage, fingerprint mismatch).
+failing the sweep; damaged checkpoint entries are quarantined and
+re-simulated, and a checkpoint of another configuration is refused.
 """
 
 import pytest
@@ -16,14 +16,16 @@ from repro.experiments.options import PointPolicy, SweepOptions
 from repro.experiments.runner import (
     _point_to_payload,
     config_fingerprint,
-    open_journal,
+    open_checkpoint,
     run_point,
     sweep,
 )
 from repro.experiments.table3 import table3
 from repro.perf.store import PointStore
-from repro.resilience import CheckpointWarning, PointBudget
+from repro.resilience import PointBudget
 from repro.resilience import faults
+from repro.resilience.integrity import QUARANTINE_DIR
+from tests.helpers import checkpoint_points
 
 SIZES = [40, 64, 90]
 STRATS = ["Orig", "GcdPad"]
@@ -64,7 +66,7 @@ class TestAnalyticFallbackResult:
 class TestResumeAfterCrash:
     def test_crash_then_resume_skips_finished_points(self, tmp_path,
                                                      tiny_config):
-        ckpt = tmp_path / "sweep.jsonl"
+        ckpt = tmp_path / "sweep"
         crash_at = 4
         inj = faults.FaultInjector().fail_on("simulate", crash_at,
                                              RuntimeError("killed"))
@@ -72,8 +74,8 @@ class TestResumeAfterCrash:
             with pytest.raises(RuntimeError, match="killed"):
                 sweep("JACOBI", STRATS, SIZES, tiny_config,
                       options=SweepOptions(checkpoint=ckpt))
-        # Everything before the crash is journaled.
-        assert len(open_journal(ckpt, tiny_config)) == crash_at - 1
+        # Everything before the crash is checkpointed.
+        assert len(checkpoint_points(ckpt)) == crash_at - 1
 
         inj2 = faults.FaultInjector()
         with faults.inject(inj2):
@@ -86,7 +88,7 @@ class TestResumeAfterCrash:
 
     def test_resumed_results_match_uninterrupted_run(self, tmp_path,
                                                      tiny_config):
-        ckpt = tmp_path / "sweep.jsonl"
+        ckpt = tmp_path / "sweep"
         inj = faults.FaultInjector().fail_on("simulate", 3,
                                              RuntimeError("killed"))
         with faults.inject(inj):
@@ -100,7 +102,7 @@ class TestResumeAfterCrash:
 
     def test_completed_journal_resumes_with_zero_simulation(self, tmp_path,
                                                             tiny_config):
-        ckpt = tmp_path / "sweep.jsonl"
+        ckpt = tmp_path / "sweep"
         sweep("JACOBI", STRATS, SIZES, tiny_config,
               options=SweepOptions(checkpoint=ckpt))
         inj = faults.FaultInjector()
@@ -112,7 +114,7 @@ class TestResumeAfterCrash:
 
     def test_fingerprint_mismatch_refuses_resume(self, tmp_path, tiny_config,
                                                  tiny_l1, tiny_l2):
-        ckpt = tmp_path / "sweep.jsonl"
+        ckpt = tmp_path / "sweep"
         sweep("JACOBI", ["Orig"], [40], tiny_config,
               options=SweepOptions(checkpoint=ckpt))
         other = ExperimentConfig(l1=tiny_l1, l2=tiny_l2, nk=5)
@@ -123,17 +125,43 @@ class TestResumeAfterCrash:
 
     def test_corrupt_trailing_line_rerun_recovers(self, tmp_path,
                                                   tiny_config):
-        ckpt = tmp_path / "sweep.jsonl"
+        ckpt = tmp_path / "sweep"
         sweep("JACOBI", STRATS, SIZES, tiny_config,
               options=SweepOptions(checkpoint=ckpt))
-        faults.corrupt_journal(ckpt, "truncate")
+        victim = sorted(ckpt.glob("*/*.json"))[-1]
+        faults.corrupt_file(victim, "truncate")
         inj = faults.FaultInjector()
-        with faults.inject(inj), pytest.warns(CheckpointWarning):
+        with faults.inject(inj):
             res = sweep("JACOBI", STRATS, SIZES, tiny_config,
                         options=SweepOptions(checkpoint=ckpt))
         # Exactly the damaged point was re-simulated; the rest resumed.
         assert inj.calls("simulate") == 1
         assert len(flat(res)) == N_POINTS
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_mangled_checkpoint_entry_quarantined(self, tmp_path,
+                                                  tiny_config, parallel):
+        """A CRC-valid entry whose payload fails validation is
+        quarantined and its point re-simulated, serially and in
+        parallel — never served, never a crashed sweep."""
+        if parallel > 1:
+            from repro.resilience.pool import available
+
+            if not available():
+                pytest.skip("multiprocessing unavailable")
+        ckpt = tmp_path / "ck"
+        key = ("JACOBI", "Orig", 40)
+        good = run_point(*key, tiny_config)
+        open_checkpoint(ckpt, tiny_config).put(
+            config_fingerprint(tiny_config), key,
+            dict(_point_to_payload(good), l1_misses="12"))
+        res = sweep("JACOBI", ["Orig"], [40], tiny_config,
+                    options=SweepOptions(checkpoint=ckpt,
+                                         parallel=parallel))
+        assert res["Orig"] == [good]
+        assert len(list((ckpt / QUARANTINE_DIR).glob("*.meta.json"))) == 1
+        # The re-simulated point replaced the poisoned entry.
+        assert checkpoint_points(ckpt)[key] == _point_to_payload(good)
 
 
 class TestBudgetDegradation:
@@ -166,7 +194,7 @@ class TestBudgetDegradation:
         # points simulate exactly, N=64 points degrade to the model.
         res = sweep("JACOBI", STRATS, [40, 64], tiny_config,
                     options=SweepOptions(
-                        checkpoint=tmp_path / "b.jsonl",
+                        checkpoint=tmp_path / "b",
                         budget=PointBudget(max_refs=100_000)))
         flags = {(p.strategy, p.n): p.degraded for p in flat(res)}
         # N=40 traces (~61k refs) fit in the budget; N=64 (~161k) do not.
@@ -175,25 +203,27 @@ class TestBudgetDegradation:
 
     def test_degraded_point_is_journaled_and_resumed(self, tmp_path,
                                                      tiny_config):
-        ckpt = tmp_path / "b.jsonl"
+        ckpt = tmp_path / "b"
         budget = PointBudget(max_refs=100)
         first = run_point("JACOBI", "Orig", 40, tiny_config,
                           policy=PointPolicy(
                               budget=budget,
-                              journal=open_journal(ckpt, tiny_config)))
+                              checkpoint=open_checkpoint(ckpt,
+                                                         tiny_config)))
         assert first.degraded
         inj = faults.FaultInjector()
         with faults.inject(inj):
             again = run_point("JACOBI", "Orig", 40, tiny_config,
                               policy=PointPolicy(
                                   budget=budget,
-                                  journal=open_journal(ckpt, tiny_config)))
+                                  checkpoint=open_checkpoint(ckpt,
+                                                             tiny_config)))
         assert inj.calls("simulate") == 0
         assert again == first and again.degraded
 
 
 class TestLegacyExtrapolatedRecords:
-    """Journals and stores written while K-plane extrapolation was an
+    """Checkpoints and stores written while K-plane extrapolation was an
     opt-in carry an ``extrapolated`` flag per point; they must keep
     resuming and serving the identical points."""
 
@@ -207,8 +237,9 @@ class TestLegacyExtrapolatedRecords:
     def test_journal_resumes_bit_identically(self, tmp_path, tiny_config,
                                              legacy):
         fresh, payload = legacy
-        ckpt = tmp_path / "legacy.jsonl"
-        open_journal(ckpt, tiny_config).record(self.KEY, payload)
+        ckpt = tmp_path / "legacy"
+        open_checkpoint(ckpt, tiny_config).put(
+            config_fingerprint(tiny_config), self.KEY, payload)
         inj = faults.FaultInjector()
         with faults.inject(inj):
             res = sweep("JACOBI", ["Orig"], [64], tiny_config,
@@ -253,7 +284,7 @@ class TestRetryPolicy:
 
 class TestTable3Checkpoint:
     def test_table3_resumes_from_shared_journal(self, tmp_path, tiny_config):
-        ckpt = tmp_path / "t3.jsonl"
+        ckpt = tmp_path / "t3"
         kwargs = dict(kernels=("JACOBI",), strategies=("GcdPad",),
                       sizes=[40, 64], cfg=tiny_config)
         first = table3(options=SweepOptions(checkpoint=ckpt), **kwargs)
